@@ -3,6 +3,9 @@
 Every edge {i,j} is a positive pair; the high-dimensional similarity of a
 pair is 1/|edges| if the pair is an edge and 0 otherwise, so the affinities
 sum to exactly 1 over all pairs.
+
+:func:`knn_indices` is the one exact kNN search of the package; the quality
+metrics use it too.
 """
 
 from __future__ import annotations
@@ -13,6 +16,11 @@ from .data import Dataset
 from .errors import GraphError
 
 DEFAULT_K = 15
+
+# Size of the largest float64 temporary of one block of rows (an N-wide
+# distance row, or a D-wide difference row per candidate). Fixes the number
+# of rows per block, so working memory is O(BLOCK_BYTES), not O(N^2).
+BLOCK_BYTES = 16 << 20
 
 
 class NeighborGraph:
@@ -27,7 +35,7 @@ class NeighborGraph:
         self.edges = edges
         self.k = k
         self.n = n
-        self._edge_set = {(int(i), int(j)) for i, j in edges}
+        self._codes = np.sort(edges[:, 0] * n + edges[:, 1])
         edges.setflags(write=False)
 
     @property
@@ -37,53 +45,100 @@ class NeighborGraph:
     def has_edge(self, i: int, j: int) -> bool:
         if i > j:
             i, j = j, i
-        return (i, j) in self._edge_set
+        if not 0 <= i < j < self.n:
+            return False
+        code = i * self.n + j
+        pos = np.searchsorted(self._codes, code)
+        return bool(pos < self._codes.size and self._codes[pos] == code)
 
     def degrees(self):
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def edge_list_text(self) -> str:
         """Edge list export: one 'i,j' line per edge, i<j, lexicographic order."""
         return "".join(f"{i},{j}\n" for i, j in self.edges)
 
 
-def _neighbor_indices(points, i, k):
-    # Per-anchor difference form; summation order over features matches a
-    # naive per-pair computation bit for bit.
-    diff = points - points[i]
-    d2 = np.einsum("nd,nd->n", diff, diff)
-    d2[i] = np.inf
-    order = np.argsort(d2, kind="stable")
-    return order[:k]
+def row_blocks(n: int, row_bytes: int):
+    """Consecutive slices covering range(n), each of at most
+    BLOCK_BYTES // row_bytes rows (at least one)."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
+def knn_indices(points, k: int):
+    """Exact k nearest neighbors of every row of an N x D array.
+
+    Row i of the N x k result lists the neighbors of point i (never i
+    itself) by ascending squared distance sum_d (x_j - x_i)^2, computed in
+    that difference form, with ties toward the smaller index.
+
+    Per block of rows, GEMM distances on a mean-centred copy screen the
+    candidates; only those are recomputed exactly and sorted. Memory is
+    O(BLOCK_BYTES) beyond the input and output.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    n, d = points.shape
+    if not 1 <= k <= n - 1:
+        raise GraphError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
+    centred = points - points.mean(axis=0)
+    sq = np.einsum("nd,nd->n", centred, centred)
+    # Rounding moves the GEMM form and the difference form each by at most
+    # about (d + 8) eps (|c_i|^2 + |c_j|^2), so a screened value is within
+    # twice that of the exact one. The k-th screened value and a true
+    # neighbour's screened value can err in opposite directions: keep every
+    # column within twice that again. The margin is absolute, not relative
+    # to the k-th value, which is 0 for duplicate points.
+    margin = 4.0 * (d + 8) * np.finfo(np.float64).eps * (sq + sq.max())
+    minus_2ct = -2.0 * centred.T
+    out = np.empty((n, k), dtype=np.int64)
+    for block in row_blocks(n, 8 * n):
+        rows = np.arange(block.start, block.stop)
+        local = rows - block.start
+        # |c_j|^2 - 2 c_i.c_j: the squared distance less |c_i|^2, which is
+        # constant along a row and so changes no row's order.
+        screen = centred[block] @ minus_2ct
+        screen += sq
+        screen[local, rows] = np.inf
+        kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
+        keep = screen <= (kth + margin[block])[:, None]
+        keep[local, rows] = False  # even where overflow made kth infinite
+        r, cols = np.divmod(np.flatnonzero(keep), n)
+        d2 = np.empty(cols.size)
+        for part in row_blocks(cols.size, 8 * d):
+            diff = points[cols[part]] - points[rows[r[part]]]
+            d2[part] = np.einsum("nd,nd->n", diff, diff)
+        cols = cols[np.lexsort((cols, d2, r))]
+        counts = np.bincount(r, minlength=rows.size)
+        first = np.cumsum(counts) - counts
+        out[block] = cols[first[:, None] + np.arange(k)]
+    return out
 
 
 def knn_graph(data, k: int = DEFAULT_K) -> NeighborGraph:
     """Build the exact symmetric kNN graph under Euclidean distance.
 
     An edge {i,j} exists iff j is among the k nearest neighbors of i or
-    vice versa. Distance ties are broken toward the smaller index. Brute
-    force O(N^2 D); intended for desk-scale data.
+    vice versa. Distance ties are broken toward the smaller index. The
+    search is :func:`knn_indices`: O(N^2 D) time in row blocks, with working
+    memory bounded by BLOCK_BYTES instead of growing as N^2.
     """
-    points = data.points if isinstance(data, Dataset) else np.asarray(points_arg_error(data))
+    points = data.points if isinstance(data, Dataset) else _raw_points(data)
     n = points.shape[0]
-    if not 1 <= k <= n - 1:
-        raise GraphError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
-    pairs = set()
-    for i in range(n):
-        for j in _neighbor_indices(points, i, k):
-            a, b = (i, int(j)) if i < j else (int(j), i)
-            pairs.add((a, b))
-    edges = np.array(sorted(pairs), dtype=np.int64)
+    j = knn_indices(points, k).ravel()
+    i = np.repeat(np.arange(n, dtype=np.int64), k)
+    codes = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    edges = np.column_stack((codes // n, codes % n))
     return NeighborGraph(edges, k=k, n=n)
 
 
-def points_arg_error(data):
+def _raw_points(data):
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise GraphError("knn_graph expects a Dataset or an N x D array")
+    if not np.all(np.isfinite(arr)):
+        raise GraphError("knn_graph input contains NaN or infinite values")
     return arr
 
 

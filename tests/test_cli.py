@@ -70,6 +70,16 @@ def test_embed_deterministic(tmp_path, capsys):
     assert (a / "embedding.csv").read_bytes() == (b / "embedding.csv").read_bytes()
 
 
+def test_embed_small_data_clamps_metric_k(tmp_path, capsys):
+    # 12 points: the default quality k (15 and 10) must shrink to N-1 = 11.
+    out = tmp_path / "run"
+    assert run(["embed", "--data", "blobs:n_per_class=4,n_classes=3,dim=5,seed=0",
+                "--loss", "umap", "--k", "3", "--epochs", "3", "--out", str(out)]) == 0
+    report = json.loads((out / "quality.json").read_text())
+    assert report["k_recall"] == 11 and report["k_accuracy"] == 10
+    assert report["knn_recall"] is not None and report["silhouette"] is not None
+
+
 def test_embed_supervised_without_labels(tmp_path, capsys):
     data = tmp_path / "plain.csv"
     assert run(["gen", "moons:n=40,noise=0.0,seed=0", "--out", str(data)]) == 0

@@ -6,19 +6,25 @@ import pytest
 from cne import Dataset, GraphError, affinity, knn_graph
 
 
-def naive_knn_graph_edges(points, k):
-    """Independent O(N^2) reference: full distance matrix, stable tie-break
-    toward smaller index, union symmetrization."""
+def naive_neighbors(points, i, k):
+    """Independent O(N) reference for one row: distances pair by pair,
+    stable tie-break toward smaller index."""
     n = points.shape[0]
+    d2 = np.empty(n)
+    for j in range(n):
+        diff = points[j] - points[i]
+        d2[j] = np.einsum("d,d->", diff, diff)
+    d2[i] = np.inf
+    return [int(j) for j in np.argsort(d2, kind="stable")[:k]]
+
+
+def naive_knn_graph_edges(points, k):
+    """Independent O(N^2) reference: naive_neighbors of every row, union
+    symmetrization."""
     edges = set()
-    for i in range(n):
-        d2 = np.empty(n)
-        for j in range(n):
-            diff = points[j] - points[i]
-            d2[j] = np.einsum("d,d->", diff, diff)
-        d2[i] = np.inf
-        for j in np.argsort(d2, kind="stable")[:k]:
-            edges.add((min(i, int(j)), max(i, int(j))))
+    for i in range(points.shape[0]):
+        for j in naive_neighbors(points, i, k):
+            edges.add((min(i, j), max(i, j)))
     return sorted(edges)
 
 
@@ -43,6 +49,23 @@ def test_duplicate_points_tie_break():
     g = knn_graph(ds, k=1)
     assert g.has_edge(0, 1)
     assert g.has_edge(2, 3)
+
+
+def test_raw_input_must_be_finite():
+    # A NaN row used to come back as its own neighbor: edge (1, 1).
+    for bad in (np.nan, np.inf):
+        with pytest.raises(GraphError, match="NaN or infinite"):
+            knn_graph(np.array([[0.0, 1.0], [bad, 2.0], [3.0, 4.0]]), k=1)
+
+
+def test_has_edge_outside_the_graph():
+    g = knn_graph(Dataset(points=np.array([[0.0], [1.0], [10.0]])), k=1)
+    assert g.has_edge(2, 1)
+    assert not g.has_edge(0, 2)
+    assert not g.has_edge(1, 1)
+    # codes i*n+j of out-of-range pairs alias real edges: (0, 5) -> (1, 2)
+    assert not g.has_edge(0, 5)
+    assert not g.has_edge(-1, 2)
 
 
 def test_k_out_of_range():
