@@ -209,11 +209,7 @@ def make_blobs(n_per_class, n_classes, dim, separation, seed) -> Dataset:
     if separation <= 0:
         raise DataError("separation must be positive")
     rng = np.random.default_rng(seed)
-    centers = np.zeros((n_classes, dim))
-    if n_classes <= dim:
-        centers[np.arange(n_classes), np.arange(n_classes)] = separation
-    else:
-        centers[:, 0] = separation * np.arange(n_classes)
+    centers = blob_centers(n_classes, dim, separation)
     points = rng.standard_normal((n_classes * n_per_class, dim))
     labels = np.repeat(np.arange(n_classes), n_per_class)
     points += centers[labels]
@@ -221,7 +217,7 @@ def make_blobs(n_per_class, n_classes, dim, separation, seed) -> Dataset:
 
 
 def blob_centers(n_classes, dim, separation):
-    """Centers used by make_blobs, for tests that check cluster membership."""
+    """Class centers of make_blobs (see there for the layout)."""
     centers = np.zeros((n_classes, dim))
     if n_classes <= dim:
         centers[np.arange(n_classes), np.arange(n_classes)] = separation

@@ -2,8 +2,9 @@
 
 Every loss sees a PairBatch (anchor-positive edges plus sampled negatives,
 optional mid-near and label-positive sets) and embedding coordinates, and
-returns the scalar value plus a sparse gradient over the participating
-sample indices. Gradients flow through the Cauchy kernel via d(loss)/d(d^2)
+returns the scalar value plus the dense gradient over all coordinate rows,
+zero outside the participating sample indices (with a per-sample view over
+those). Gradients flow through the Cauchy kernel via d(loss)/d(d^2)
 coefficients and through the temperature kernel via d(loss)/d(dist)
 coefficients, accumulated pairwise so the contribution to i from a pair ij
 is exactly the negation of the contribution to j.
@@ -26,10 +27,6 @@ LOSS_KINDS = (
 SUPERVISED_KINDS = ("supcon", "sup_snn", "tscne")
 TEMPERATURE_KINDS = ("sscl", "snn", "supcon", "sup_snn")
 MIDNEAR_KINDS = ("trimap", "pacmap", "tscne")
-
-# Test hook: added to one gradient entry when nonzero (negative control for
-# the gradcheck command).
-GRADIENT_CORRUPTION = 0.0
 
 # Per-loss hyperparameter defaults, applied when the caller does not set the
 # value explicitly. infonce benefits from a larger negative set; the
@@ -122,17 +119,28 @@ class LossSpec:
 @dataclass
 class LossGrad:
     value: float
-    grads: dict  # sample index -> length-d gradient vector
+    grad: np.ndarray     # (N, d) gradient for every coordinate row
+    touched: np.ndarray  # sorted sample indices with a contribution; grad is 0 elsewhere
     skipped_anchors: int = 0
+
+    @property
+    def grads(self) -> dict:  # per-sample view: touched index -> copy of its row
+        return dict(zip(self.touched.tolist(), self.grad[self.touched]))
 
 
 class _Accumulator:
-    """Pairwise gradient accumulation over embedding coordinates."""
+    """Pairwise gradient accumulation over embedding coordinates. result()
+    scatters all contributions at once, in call order: each row is the same
+    left-to-right sum from 0.0 as scattering every call as it comes."""
 
     def __init__(self, coords):
         self.coords = coords
-        self.g = np.zeros_like(coords)
-        self.touched = []
+        self.rows = []
+        self.contribs = []
+
+    def _add(self, i, j, contrib):
+        self.rows += [i, j]
+        self.contribs += [contrib, -contrib]
 
     def add_sq(self, i, j, coef):
         """coef = dL/d(d^2) per pair; chain through d^2 = ||z_i - z_j||^2."""
@@ -140,11 +148,7 @@ class _Accumulator:
         j = np.asarray(j).ravel()
         coef = np.asarray(coef, dtype=np.float64).ravel()
         diff = self.coords[i] - self.coords[j]
-        contrib = (2.0 * coef)[:, None] * diff
-        np.add.at(self.g, i, contrib)
-        np.add.at(self.g, j, -contrib)
-        self.touched.append(i)
-        self.touched.append(j)
+        self._add(i, j, (2.0 * coef)[:, None] * diff)
 
     def add_dist(self, i, j, coef):
         """coef = dL/d(dist) per pair; chain through dist = ||z_i - z_j||."""
@@ -154,17 +158,19 @@ class _Accumulator:
         diff = self.coords[i] - self.coords[j]
         dist = np.sqrt(np.einsum("bd,bd->b", diff, diff))
         unit = diff / np.maximum(dist, 1e-30)[:, None]
-        contrib = coef[:, None] * unit
-        np.add.at(self.g, i, contrib)
-        np.add.at(self.g, j, -contrib)
-        self.touched.append(i)
-        self.touched.append(j)
+        self._add(i, j, coef[:, None] * unit)
 
-    def result(self) -> dict:
-        if not self.touched:
-            return {}
-        idx = np.unique(np.concatenate(self.touched))
-        return {int(k): self.g[k].copy() for k in idx}
+    def result(self):
+        """(dense N x d gradient, sorted touched indices)."""
+        n, d = self.coords.shape
+        grad = np.zeros((n, d))
+        if not self.rows:
+            return grad, np.zeros(0, dtype=np.intp)
+        rows = np.concatenate(self.rows)
+        w = np.concatenate(self.contribs)
+        for c in range(d):
+            grad[:, c] = np.bincount(rows, weights=w[:, c], minlength=n)
+        return grad, np.flatnonzero(np.bincount(rows, minlength=n))
 
 
 def _sq(coords, i, j):
@@ -506,34 +512,33 @@ def evaluate(spec: LossSpec, batch: PairBatch, coords, epoch: int = 0,
     coords = np.asarray(coords, dtype=np.float64)
     if not np.all(np.isfinite(coords)):
         raise LossNumericsError("coordinates contain non-finite values")
-    hi = int(batch.all_indices().max())
-    if hi >= coords.shape[0]:
-        raise LossNumericsError(f"batch index {hi} out of range for {coords.shape[0]} coordinates")
+    lo, hi = batch.all_indices()[[0, -1]]
+    if lo < 0 or hi >= len(coords):
+        raise LossNumericsError(f"batch indices {lo}..{hi} outside 0..{len(coords) - 1}")
     w_u = spec.schedule.w_u(epoch, n_epochs) if spec.kind in MIDNEAR_KINDS else 0.0
     acc = _Accumulator(coords)
     value, skipped = _LOSS_FUNCS[spec.kind](batch, coords, spec, w_u, acc)
-    grads = acc.result()
+    grad, touched = acc.result()
     if not np.isfinite(value):
         raise LossNumericsError(f"loss {spec.kind!r} produced non-finite value")
-    for idx, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise LossNumericsError(
-                f"loss {spec.kind!r}: non-finite gradient for sample {idx}"
-            )
-    if GRADIENT_CORRUPTION != 0.0 and grads:
-        grads[min(grads)] = grads[min(grads)] + GRADIENT_CORRUPTION
-    return LossGrad(value=float(value), grads=grads, skipped_anchors=skipped)
+    if not np.all(np.isfinite(grad)):
+        bad = np.nonzero(~np.isfinite(grad))[0][0]
+        raise LossNumericsError(f"loss {spec.kind!r}: non-finite gradient for sample {bad}")
+    return LossGrad(value=float(value), grad=grad, touched=touched,
+                    skipped_anchors=skipped)
 
 
 def grad_check(spec: LossSpec, batch: PairBatch, coords, eps: float = 1e-5,
-               epoch: int = 0, n_epochs: int = 1) -> float:
+               epoch: int = 0, n_epochs: int = 1, corrupt: float = 0.0) -> float:
     """Max relative error of the analytic gradient against central finite
-    differences over every participating coordinate."""
+    differences over every participating coordinate. `corrupt` is added to the
+    analytic gradient of the smallest participating index (negative control)."""
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-7, 1e-3]")
     coords = np.array(coords, dtype=np.float64)
-    lg = evaluate(spec, batch, coords, epoch, n_epochs)
     indices = batch.all_indices()
+    grad = evaluate(spec, batch, coords, epoch, n_epochs).grad
+    grad[indices[0]] += corrupt
     max_err = 0.0
     for idx in indices:
         for c in range(coords.shape[1]):
@@ -544,7 +549,6 @@ def grad_check(spec: LossSpec, batch: PairBatch, coords, eps: float = 1e-5,
             v_minus = evaluate(spec, batch, coords, epoch, n_epochs).value
             coords[idx, c] = orig
             numeric = (v_plus - v_minus) / (2.0 * eps)
-            analytic = lg.grads.get(int(idx), np.zeros(coords.shape[1]))[c]
-            err = abs(analytic - numeric) / max(1.0, abs(numeric))
+            err = abs(grad[idx, c] - numeric) / max(1.0, abs(numeric))
             max_err = max(max_err, err)
     return max_err

@@ -32,7 +32,6 @@ class OptimConfig:
     momentum: float = 0.9
     batch_size: int = 1024
     seed: int = 0
-    deterministic: bool = True
     mode: str = "nonparametric"
     embedding_dim: int = 2
     # Element-wise bound on the per-sample loss gradient before the momentum
@@ -57,9 +56,8 @@ class OptimConfig:
         return {
             "epochs": self.epochs, "learning_rate": self.learning_rate,
             "momentum": self.momentum, "batch_size": self.batch_size,
-            "seed": self.seed, "deterministic": self.deterministic,
-            "mode": self.mode, "embedding_dim": self.embedding_dim,
-            "grad_clip": self.grad_clip,
+            "seed": self.seed, "mode": self.mode,
+            "embedding_dim": self.embedding_dim, "grad_clip": self.grad_clip,
         }
 
 
@@ -118,9 +116,7 @@ def fit_nonparametric(data: Dataset, graph: NeighborGraph, spec: LossSpec,
             batch = sampler.next_batch()
             lg = evaluate(spec, batch, coords, epoch, cfg.epochs)
             epoch_loss += lg.value
-            grad = np.zeros_like(coords)
-            for idx, g in lg.grads.items():
-                grad[idx] = g
+            grad = lg.grad
             if cfg.grad_clip > 0:
                 np.clip(grad, -cfg.grad_clip, cfg.grad_clip, out=grad)
             velocity = cfg.momentum * velocity - cfg.learning_rate * grad
@@ -240,14 +236,10 @@ def fit_parametric(data: Dataset, graph: NeighborGraph, spec: LossSpec,
             batch = sampler.next_batch()
             uniq = batch.all_indices()
             z, cache = enc.forward_cached(data.points[uniq])
-            coords = np.zeros((data.n, cfg.embedding_dim))
-            coords[uniq] = z
-            lg = evaluate(spec, batch, coords, epoch, cfg.epochs)
+            # Evaluate in the batch's compact row space: row r of z is sample uniq[r].
+            lg = evaluate(spec, batch.remap(uniq), z, epoch, cfg.epochs)
             epoch_loss += lg.value
-            dz = np.zeros_like(z)
-            row_of = {int(v): r for r, v in enumerate(uniq)}
-            for idx, g in lg.grads.items():
-                dz[row_of[idx]] = g
+            dz = lg.grad
             if cfg.grad_clip > 0:
                 np.clip(dz, -cfg.grad_clip, cfg.grad_clip, out=dz)
             grads_w, grads_b = enc.backward(cache, dz)

@@ -77,7 +77,18 @@ class PairBatch:
         parts = [self.anchors, self.positives, self.negatives.ravel()]
         if self.midnears is not None:
             parts.append(self.midnears.ravel())
-        return np.unique(np.concatenate(parts))
+        # Sort-based: np.unique hashes integers, ~5x slower at batch sizes.
+        flat = np.sort(np.concatenate(parts))
+        return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+
+    def remap(self, index) -> "PairBatch":
+        """This batch with each sample index replaced by its position in the
+        sorted array `index`, which must hold them all (e.g. all_indices()).
+        label_positives are batch positions and carry over unchanged."""
+        def pos(a):
+            return None if a is None else np.searchsorted(index, a)
+        return PairBatch(pos(self.anchors), pos(self.positives), pos(self.negatives),
+                         pos(self.midnears), self.label_positives)
 
 
 def _uniform_non_anchor(anchors, n, size, rng):

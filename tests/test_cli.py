@@ -70,6 +70,17 @@ def test_embed_deterministic(tmp_path, capsys):
     assert (a / "embedding.csv").read_bytes() == (b / "embedding.csv").read_bytes()
 
 
+def test_deterministic_flag_is_accepted_and_inert(tmp_path, capsys):
+    outs = []
+    for name, flag in (("a", "--deterministic"), ("b", "--no-deterministic")):
+        out = tmp_path / name
+        assert run(["embed", "--data", BLOBS, "--loss", "umap", flag,
+                    "--out", str(out), *FAST]) == 0
+        outs.append((out / "embedding.csv").read_bytes())
+        assert "deterministic" not in json.loads((out / "config.json").read_text())["optim"]
+    assert outs[0] == outs[1]
+
+
 def test_embed_small_data_clamps_metric_k(tmp_path, capsys):
     # 12 points: the default quality k (15 and 10) must shrink to N-1 = 11.
     out = tmp_path / "run"

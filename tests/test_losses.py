@@ -579,9 +579,53 @@ def test_evaluate_rejects_nonfinite_coords():
 
 def test_evaluate_rejects_out_of_range_batch():
     coords = np.zeros((2, 2))
-    batch = pair_batch([0], [1], [[5]])
-    with pytest.raises(LossNumericsError):
-        evaluate(LossSpec(kind="umap"), batch, coords)
+    for bad in (5, -1):
+        batch = pair_batch([0], [1], [[bad]])
+        with pytest.raises(LossNumericsError):
+            evaluate(LossSpec(kind="umap"), batch, coords)
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_compact_batch_matches_full_coordinates(kind):
+    # The parametric fit evaluates on the batch's own rows only; value and
+    # gradient must match the evaluation on all coordinates bit for bit.
+    rng = np.random.default_rng(13)
+    n = 40
+    labels = rng.integers(0, 3, size=n)
+    coords = rng.normal(size=(n, 2))
+    spec = LossSpec(kind=kind, m=3)
+    for _ in range(3):
+        batch = random_batch(n, 8, 3, rng, labels=labels)
+        uniq = batch.all_indices()
+        assert np.array_equal(uniq, np.unique(np.concatenate(
+            [batch.anchors, batch.positives, batch.negatives.ravel(), batch.midnears.ravel()])))
+        full = evaluate(spec, batch, coords)
+        compact = evaluate(spec, batch.remap(uniq), coords[uniq])
+        assert compact.value == full.value
+        assert np.array_equal(compact.grad, full.grad[uniq])
+        assert not full.grad[np.setdiff1d(np.arange(n), uniq)].any()
+        assert list(full.grads) == full.touched.tolist()
+        assert np.isin(full.touched, uniq).all()
+        assert list(compact.grads) == np.searchsorted(uniq, full.touched).tolist()
+        for idx, g in full.grads.items():
+            assert np.array_equal(g, full.grad[idx])
+
+
+def test_accumulator_matches_sequential_scatter():
+    # Deferred bincount scatter == one np.add.at per contribution, in call order.
+    from cne.losses import _Accumulator
+    rng = np.random.default_rng(3)
+    coords = rng.normal(size=(20, 3))
+    acc = _Accumulator(coords)
+    for _ in range(3):
+        acc.add_sq(rng.integers(0, 20, 30), rng.integers(0, 20, 30), rng.normal(size=30))
+        acc.add_dist(rng.integers(0, 20, 30), rng.integers(0, 20, 30), rng.normal(size=30))
+    expect = np.zeros_like(coords)
+    for rows, contrib in zip(acc.rows, acc.contribs):
+        np.add.at(expect, rows, contrib)
+    grad, touched = acc.result()
+    assert np.array_equal(grad, expect)
+    assert np.array_equal(touched, np.unique(np.concatenate(acc.rows)))
 
 
 def test_spec_validation():

@@ -185,6 +185,29 @@ def test_parametric_training_and_transform():
     assert np.allclose(again.coords, emb.coords, rtol=0, atol=1e-12)
 
 
+def test_parametric_single_step_matches_full_space_replay():
+    # One momentum-free step, replayed with the loss evaluated on all N
+    # coordinates (batch rows filled in, the rest zero).
+    from cne.sampling import Sampler
+    ds = small_blobs()
+    g = knn_graph(ds, k=5)
+    spec = LossSpec(kind="umap", m=3)
+    lr = 0.01
+    cfg = OptimConfig(epochs=1, learning_rate=lr, momentum=0.0, batch_size=g.n_edges,
+                      seed=4, grad_clip=0.0, mode="parametric")
+    enc, _, _ = fit_parametric(ds, g, spec, cfg)
+    ref = Encoder(ds.dim, 2, seed=4)
+    batch = Sampler(graph=g, data=ds, batch_size=g.n_edges, m=3, seed=4).next_batch()
+    uniq = batch.all_indices()
+    z, cache = ref.forward_cached(ds.points[uniq])
+    coords = np.zeros((ds.n, 2))
+    coords[uniq] = z
+    grads_w, grads_b = ref.backward(cache, evaluate(spec, batch, coords).grad[uniq])
+    for layer in range(len(ref.weights)):
+        assert np.array_equal(enc.weights[layer], ref.weights[layer] - lr * grads_w[layer])
+        assert np.array_equal(enc.biases[layer], ref.biases[layer] - lr * grads_b[layer])
+
+
 def test_transform_properties():
     enc = Encoder(in_dim=3, out_dim=2, seed=5)
     rng = np.random.default_rng(6)
