@@ -142,23 +142,18 @@ class _Accumulator:
         self.rows += [i, j]
         self.contribs += [contrib, -contrib]
 
-    def add_sq(self, i, j, coef):
-        """coef = dL/d(d^2) per pair; chain through d^2 = ||z_i - z_j||^2."""
-        i = np.asarray(i).ravel()
-        j = np.asarray(j).ravel()
+    def add_sq(self, i, j, coef, diff):
+        """coef = dL/d(d^2) per pair; chain through d^2 = ||z_i - z_j||^2,
+        with diff = z_i - z_j as _phi returns it."""
         coef = np.asarray(coef, dtype=np.float64).ravel()
-        diff = self.coords[i] - self.coords[j]
-        self._add(i, j, (2.0 * coef)[:, None] * diff)
+        self._add(np.asarray(i).ravel(), np.asarray(j).ravel(), (2.0 * coef)[:, None] * diff)
 
-    def add_dist(self, i, j, coef):
-        """coef = dL/d(dist) per pair; chain through dist = ||z_i - z_j||."""
-        i = np.asarray(i).ravel()
-        j = np.asarray(j).ravel()
+    def add_dist(self, i, j, coef, diff, dist):
+        """coef = dL/d(dist) per pair; chain through dist = ||z_i - z_j||,
+        with diff and dist as _dist returns them."""
         coef = np.asarray(coef, dtype=np.float64).ravel()
-        diff = self.coords[i] - self.coords[j]
-        dist = np.sqrt(np.einsum("bd,bd->b", diff, diff))
-        unit = diff / np.maximum(dist, 1e-30)[:, None]
-        self._add(i, j, coef[:, None] * unit)
+        self._add(np.asarray(i).ravel(), np.asarray(j).ravel(),
+                  coef[:, None] * (diff / dist[:, None]))
 
     def result(self):
         """(dense N x d gradient, sorted touched indices)."""
@@ -173,20 +168,24 @@ class _Accumulator:
         return grad, np.flatnonzero(np.bincount(rows, minlength=n))
 
 
-def _sq(coords, i, j):
-    diff = coords[np.asarray(i).ravel()] - coords[np.asarray(j).ravel()]
-    s = np.einsum("bd,bd->b", diff, diff)
-    return np.maximum(s, EPS_SQ_DIST)
+def _diff(coords, i, j):
+    # take(): the same rows as coords[i], gathered several times faster.
+    i, j = np.asarray(i).ravel(), np.asarray(j).ravel()
+    return coords.take(i, axis=0) - coords.take(j, axis=0)
 
 
 def _phi(coords, i, j):
-    s = _sq(coords, i, j)
-    return s, 1.0 / (s + 1.0)
+    """(z_i - z_j, clamped d^2, Cauchy kernel) per pair; the difference goes
+    on to _Accumulator.add_sq, so each pair set is gathered once."""
+    diff = _diff(coords, i, j)
+    s = np.maximum(np.einsum("bd,bd->b", diff, diff), EPS_SQ_DIST)
+    return diff, s, 1.0 / (s + 1.0)
 
 
 def _dist(coords, i, j):
-    diff = coords[np.asarray(i).ravel()] - coords[np.asarray(j).ravel()]
-    return np.maximum(np.sqrt(np.einsum("bd,bd->b", diff, diff)), 1e-30)
+    """(z_i - z_j, clamped distance) per pair, for _Accumulator.add_dist."""
+    diff = _diff(coords, i, j)
+    return diff, np.maximum(np.sqrt(np.einsum("bd,bd->b", diff, diff)), 1e-30)
 
 
 def _lse_rows(a):
@@ -216,36 +215,36 @@ def _segment_lse(a_flat, sizes):
 
 def _loss_tsne(batch, coords, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
-    s, phi = _phi(coords, i, j)
+    diff, _, phi = _phi(coords, i, j)
     b = len(i)
     total = phi.sum()
     value = -np.log(phi).mean() + np.log(total)
     dphi = -1.0 / (b * phi) + 1.0 / total
-    acc.add_sq(i, j, dphi * (-phi ** 2))
+    acc.add_sq(i, j, dphi * (-phi ** 2), diff)
     return value, 0
 
 
 def _loss_umap(batch, coords, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
     b = len(i)
-    s_p, phi_p = _phi(coords, i, j)
+    diff_p, _, phi_p = _phi(coords, i, j)
     i_n = np.repeat(i, batch.m)
     j_n = batch.negatives.ravel()
-    s_n, phi_n = _phi(coords, i_n, j_n)
+    diff_n, s_n, phi_n = _phi(coords, i_n, j_n)
     # 1 - phi = d^2/(d^2+1), computed as s*phi for accuracy near phi=1
     value = -(np.log(phi_p).sum() + np.log(s_n * phi_n).sum()) / b
-    acc.add_sq(i, j, phi_p / b)
-    acc.add_sq(i_n, j_n, -(1.0 / s_n - phi_n) / b)
+    acc.add_sq(i, j, phi_p / b, diff_p)
+    acc.add_sq(i_n, j_n, -(1.0 / s_n - phi_n) / b, diff_n)
     return value, 0
 
 
 def _loss_trimap(batch, coords, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
     b = len(i)
-    _, u = _phi(coords, i, j)
+    diff_p, _, u = _phi(coords, i, j)
     i_n = np.repeat(i, batch.m)
     j_n = batch.negatives.ravel()
-    _, v_flat = _phi(coords, i_n, j_n)
+    diff_n, _, v_flat = _phi(coords, i_n, j_n)
     v = v_flat.reshape(b, batch.m)
     denom = u[:, None] + v
     ratio = u[:, None] / denom
@@ -257,14 +256,14 @@ def _loss_trimap(batch, coords, spec, w_u, acc):
         value = -ratio.sum() / b
         du = -(v / denom ** 2).sum(axis=1) / b
         dv = (u[:, None] / denom ** 2) / b
-    acc.add_sq(i, j, du * (-u ** 2))
-    acc.add_sq(i_n, j_n, dv.ravel() * (-v_flat ** 2))
+    acc.add_sq(i, j, du * (-u ** 2), diff_p)
+    acc.add_sq(i_n, j_n, dv.ravel() * (-v_flat ** 2), diff_n)
     if w_u != 0.0:
         if batch.midnears is None or batch.midnears.shape[1] < 2:
             raise SamplingError("trimap mid-near term needs >= 2 mid-near indices per anchor")
         jm, km = batch.midnears[:, 0], batch.midnears[:, 1]
-        _, um = _phi(coords, i, jm)
-        _, vm = _phi(coords, i, km)
+        diff_j, _, um = _phi(coords, i, jm)
+        diff_k, _, vm = _phi(coords, i, km)
         dm = um + vm
         if spec.use_log_ratio:
             value += -w_u * np.log(um / dm).sum() / b
@@ -274,8 +273,8 @@ def _loss_trimap(batch, coords, spec, w_u, acc):
             value += -w_u * (um / dm).sum() / b
             dum = -w_u * (vm / dm ** 2) / b
             dvm = w_u * (um / dm ** 2) / b
-        acc.add_sq(i, jm, dum * (-um ** 2))
-        acc.add_sq(i, km, dvm * (-vm ** 2))
+        acc.add_sq(i, jm, dum * (-um ** 2), diff_j)
+        acc.add_sq(i, km, dvm * (-vm ** 2), diff_k)
     return value, 0
 
 
@@ -283,20 +282,20 @@ def _loss_pacmap(batch, coords, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
     b = len(i)
     w_p = spec.schedule.w_p
-    _, phi_p = _phi(coords, i, j)
+    diff_p, _, phi_p = _phi(coords, i, j)
     value = -w_p * (phi_p / (phi_p + 1.0)).sum() / b
-    acc.add_sq(i, j, (w_p / b) * phi_p ** 2 / (phi_p + 1.0) ** 2)
+    acc.add_sq(i, j, (w_p / b) * phi_p ** 2 / (phi_p + 1.0) ** 2, diff_p)
     if w_u != 0.0:
         if batch.midnears is None:
             raise SamplingError("pacmap mid-near term needs mid-near indices")
         i_m = np.repeat(i, batch.midnears.shape[1])
         j_m = batch.midnears.ravel()
-        _, phi_m = _phi(coords, i_m, j_m)
+        diff_m, _, phi_m = _phi(coords, i_m, j_m)
         value += -w_u * (phi_m / (phi_m + 1.0)).sum() / b
-        acc.add_sq(i_m, j_m, (w_u / b) * phi_m ** 2 / (phi_m + 1.0) ** 2)
+        acc.add_sq(i_m, j_m, (w_u / b) * phi_m ** 2 / (phi_m + 1.0) ** 2, diff_m)
     i_n = np.repeat(i, batch.m)
     j_n = batch.negatives.ravel()
-    _, phi_n = _phi(coords, i_n, j_n)
+    diff_n, _, phi_n = _phi(coords, i_n, j_n)
     g_n = phi_n / (phi_n + 1.0)
     if spec.use_corrected_pacmap:
         value += g_n.sum() / b
@@ -304,24 +303,24 @@ def _loss_pacmap(batch, coords, spec, w_u, acc):
         # As published: constant offset relative to the corrected form,
         # identical gradient.
         value += -(1.0 - g_n).sum() / b
-    acc.add_sq(i_n, j_n, -(1.0 / b) * phi_n ** 2 / (phi_n + 1.0) ** 2)
+    acc.add_sq(i_n, j_n, -(1.0 / b) * phi_n ** 2 / (phi_n + 1.0) ** 2, diff_n)
     return value, 0
 
 
 def _loss_infonce(batch, coords, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
     b = len(i)
-    _, u = _phi(coords, i, j)
+    diff_p, _, u = _phi(coords, i, j)
     i_n = np.repeat(i, batch.m)
     j_n = batch.negatives.ravel()
-    _, v_flat = _phi(coords, i_n, j_n)
+    diff_n, _, v_flat = _phi(coords, i_n, j_n)
     v_sum = v_flat.reshape(b, batch.m).sum(axis=1)
     total = u + v_sum
     value = -(np.log(u) - np.log(total)).mean()
     du = -(1.0 / u - 1.0 / total) / b
     dv = np.repeat(1.0 / (b * total), batch.m)
-    acc.add_sq(i, j, du * (-u ** 2))
-    acc.add_sq(i_n, j_n, dv * (-v_flat ** 2))
+    acc.add_sq(i, j, du * (-u ** 2), diff_p)
+    acc.add_sq(i_n, j_n, dv * (-v_flat ** 2), diff_n)
     return value, 0
 
 
@@ -331,11 +330,11 @@ def _loss_sscl(batch, coords, spec, w_u, acc):
     tau = spec.tau
     i, j = batch.anchors, batch.positives
     b = len(i)
-    d_p = _dist(coords, i, j)
+    diff_p, d_p = _dist(coords, i, j)
     i_n = np.repeat(i, batch.m)
     j_n = batch.negatives.ravel()
-    d_n = _dist(coords, i_n, j_n).reshape(b, batch.m)
-    a_n = -d_n / tau
+    diff_n, d_n_flat = _dist(coords, i_n, j_n)
+    a_n = -d_n_flat.reshape(b, batch.m) / tau
     if spec.use_incl_positive:
         a = np.column_stack([-d_p / tau, a_n])
         lse, soft = _lse_rows(a)
@@ -345,8 +344,8 @@ def _loss_sscl(batch, coords, spec, w_u, acc):
         lse, soft_n = _lse_rows(a_n)
         coef_p = np.full(b, 1.0 / (tau * b))
     value = (d_p / tau + lse).mean()
-    acc.add_dist(i, j, coef_p)
-    acc.add_dist(i_n, j_n, (-soft_n / (tau * b)).ravel())
+    acc.add_dist(i, j, coef_p, diff_p, d_p)
+    acc.add_dist(i_n, j_n, (-soft_n / (tau * b)).ravel(), diff_n, d_n_flat)
     return value, 0
 
 
@@ -360,99 +359,97 @@ def _loss_snn(batch, coords, spec, w_u, acc):
     rows = order  # rows grouped contiguously by anchor
     i_p = anchors[rows]
     j_p = batch.positives[rows]
-    d_p = _dist(coords, i_p, j_p)
+    diff_p, d_p = _dist(coords, i_p, j_p)
     lse_p, soft_p, _ = _segment_lse(-d_p / tau, sizes)
     i_n = np.repeat(anchors[rows], batch.m)
     j_n = batch.negatives[rows].ravel()
-    d_n = _dist(coords, i_n, j_n)
+    diff_n, d_n = _dist(coords, i_n, j_n)
     lse_n, soft_n, _ = _segment_lse(-d_n / tau, sizes * batch.m)
     value = (-lse_p + lse_n).sum() / n_groups
-    acc.add_dist(i_p, j_p, soft_p / (tau * n_groups))
-    acc.add_dist(i_n, j_n, -soft_n / (tau * n_groups))
+    acc.add_dist(i_p, j_p, soft_p / (tau * n_groups), diff_p, d_p)
+    acc.add_dist(i_n, j_n, -soft_n / (tau * n_groups), diff_n, d_n)
     return value, 0
 
 
-def _contributing(batch):
-    if batch.label_positives is None:
+def _label_pairs(batch):
+    """(sizes, keep, rows, i, j) of the batch's label positives: set size per
+    anchor, the anchors with a non-empty set, and every (anchor, label
+    positive) pair in anchor order as its batch row and its two sample
+    indices."""
+    lp = batch.label_positives
+    if lp is None:
         raise SamplingError("supervised loss requires label positives in the batch")
-    sizes = np.array([len(p) for p in batch.label_positives], dtype=np.int64)
-    keep = np.nonzero(sizes > 0)[0]
-    return sizes, keep
+    sizes = np.diff(lp.offsets)
+    rows = np.repeat(np.arange(batch.size), sizes)
+    return (sizes, np.flatnonzero(sizes), rows,
+            batch.anchors[rows], batch.anchors[lp.positions])
 
 
 def _loss_supcon(batch, coords, spec, w_u, acc):
     tau = spec.tau
-    sizes, keep = _contributing(batch)
+    sizes, keep, rows, i_flat, j_flat = _label_pairs(batch)
     skipped = batch.size - len(keep)
     if len(keep) == 0:
         return 0.0, skipped
     bc = len(keep)
-    anchors = batch.anchors
-    rows = np.repeat(keep, sizes[keep])
-    j_flat = anchors[np.concatenate([batch.label_positives[b] for b in keep])]
-    i_flat = anchors[rows]
-    d_pj = _dist(coords, i_flat, j_flat)
+    diff_p, d_pj = _dist(coords, i_flat, j_flat)
     inv_sz = 1.0 / sizes[rows]
-    i_n = np.repeat(anchors[keep], batch.m)
+    i_n = np.repeat(batch.anchors[keep], batch.m)
     j_n = batch.negatives[keep].ravel()
-    d_n = _dist(coords, i_n, j_n).reshape(bc, batch.m)
+    diff_n, d_n_flat = _dist(coords, i_n, j_n)
+    d_n = d_n_flat.reshape(bc, batch.m)
     if spec.use_incl_positive:
         # Per-positive denominator: its own similarity joins the negatives.
         pos_in_keep = np.searchsorted(keep, rows)
         a = np.column_stack([-d_pj / tau, -d_n[pos_in_keep] / tau])
         lse, soft = _lse_rows(a)
         value = ((d_pj / tau + lse) * inv_sz).sum() / bc
-        acc.add_dist(i_flat, j_flat, (1.0 - soft[:, 0]) * inv_sz / (tau * bc))
+        acc.add_dist(i_flat, j_flat, (1.0 - soft[:, 0]) * inv_sz / (tau * bc), diff_p, d_pj)
         coef_n = -(soft[:, 1:] * inv_sz[:, None]) / (tau * bc)
-        acc.add_dist(np.repeat(i_flat, batch.m),
-                     batch.negatives[rows].ravel(), coef_n.ravel())
+        d = coords.shape[1]
+        acc.add_dist(np.repeat(i_flat, batch.m), batch.negatives[rows].ravel(), coef_n.ravel(),
+                     diff_n.reshape(bc, batch.m, d)[pos_in_keep].reshape(-1, d),
+                     d_n[pos_in_keep].ravel())
     else:
         lse_n, soft_n = _lse_rows(-d_n / tau)
         value = ((d_pj / tau) * inv_sz).sum() / bc + lse_n.sum() / bc
-        acc.add_dist(i_flat, j_flat, inv_sz / (tau * bc))
-        acc.add_dist(i_n, j_n, (-soft_n / (tau * bc)).ravel())
+        acc.add_dist(i_flat, j_flat, inv_sz / (tau * bc), diff_p, d_pj)
+        acc.add_dist(i_n, j_n, (-soft_n / (tau * bc)).ravel(), diff_n, d_n_flat)
     return value, skipped
 
 
 def _loss_sup_snn(batch, coords, spec, w_u, acc):
     tau = spec.tau
-    sizes, keep = _contributing(batch)
+    sizes, keep, rows, i_flat, j_flat = _label_pairs(batch)
     skipped = batch.size - len(keep)
     if len(keep) == 0:
         return 0.0, skipped
     bc = len(keep)
-    anchors = batch.anchors
-    rows = np.repeat(keep, sizes[keep])
-    j_flat = anchors[np.concatenate([batch.label_positives[b] for b in keep])]
-    i_flat = anchors[rows]
-    d_pj = _dist(coords, i_flat, j_flat)
+    diff_p, d_pj = _dist(coords, i_flat, j_flat)
     lse_p, soft_p, _ = _segment_lse(-d_pj / tau, sizes[keep])
-    i_n = np.repeat(anchors[keep], batch.m)
+    i_n = np.repeat(batch.anchors[keep], batch.m)
     j_n = batch.negatives[keep].ravel()
-    d_n = _dist(coords, i_n, j_n).reshape(bc, batch.m)
-    lse_n, soft_n = _lse_rows(-d_n / tau)
+    diff_n, d_n = _dist(coords, i_n, j_n)
+    lse_n, soft_n = _lse_rows(-d_n.reshape(bc, batch.m) / tau)
     # -log( (1/|P|) sum e_p / sum e_n )
     value = (-lse_p + np.log(sizes[keep]) + lse_n).sum() / bc
-    acc.add_dist(i_flat, j_flat, soft_p / (tau * bc))
-    acc.add_dist(i_n, j_n, (-soft_n / (tau * bc)).ravel())
+    acc.add_dist(i_flat, j_flat, soft_p / (tau * bc), diff_p, d_pj)
+    acc.add_dist(i_n, j_n, (-soft_n / (tau * bc)).ravel(), diff_n, d_n)
     return value, skipped
 
 
 def _loss_tscne(batch, coords, spec, w_u, acc):
-    sizes, keep = _contributing(batch)
+    sizes, keep, rows, i_flat, j_flat = _label_pairs(batch)
     skipped = batch.size - len(keep)
     if len(keep) == 0:
         return 0.0, skipped
     bc = len(keep)
     anchors = batch.anchors
-    rows = np.repeat(keep, sizes[keep])
-    j_flat = anchors[np.concatenate([batch.label_positives[b] for b in keep])]
-    i_flat = anchors[rows]
-    _, u = _phi(coords, i_flat, j_flat)
+    diff_p, _, u = _phi(coords, i_flat, j_flat)
     inv_sz = 1.0 / sizes[rows]
     i_n = np.repeat(anchors[keep], batch.m)
     j_n = batch.negatives[keep].ravel()
-    _, phi_n = _phi(coords, i_n, j_n)
+    diff_n, _, phi_n = _phi(coords, i_n, j_n)
     v = phi_n.reshape(bc, batch.m).sum(axis=1)
     v_rows = v[np.searchsorted(keep, rows)]
     starts = _segments(sizes[keep])
@@ -466,17 +463,17 @@ def _loss_tscne(batch, coords, spec, w_u, acc):
         du = -(1.0 / v_rows) * inv_sz / bc
         seg_sum = np.add.reduceat(inv_sz * u, starts)
         dv = seg_sum / (v ** 2) / bc
-    acc.add_sq(i_flat, j_flat, du * (-u ** 2))
-    acc.add_sq(i_n, j_n, np.repeat(dv, batch.m) * (-phi_n ** 2))
+    acc.add_sq(i_flat, j_flat, du * (-u ** 2), diff_p)
+    acc.add_sq(i_n, j_n, np.repeat(dv, batch.m) * (-phi_n ** 2), diff_n)
     if w_u != 0.0:
         if batch.midnears is None:
             raise SamplingError("tscne mid-near term needs mid-near indices")
         i_k, j_k = anchors[keep], batch.positives[keep]
-        _, up = _phi(coords, i_k, j_k)
+        diff_k, _, up = _phi(coords, i_k, j_k)
         n_mid = batch.midnears.shape[1]
         i_m = np.repeat(i_k, n_mid)
         j_m = batch.midnears[keep].ravel()
-        _, phi_m = _phi(coords, i_m, j_m)
+        diff_m, _, phi_m = _phi(coords, i_m, j_m)
         w = phi_m.reshape(bc, n_mid).sum(axis=1)
         if spec.use_log_ratio:
             value += -w_u * np.log(up / (up + w)).sum() / bc
@@ -486,8 +483,8 @@ def _loss_tscne(batch, coords, spec, w_u, acc):
             value += -w_u * (up / w).sum() / bc
             dup = -w_u / (w * bc)
             dm = np.repeat(w_u * up / (w ** 2) / bc, n_mid)
-        acc.add_sq(i_k, j_k, dup * (-up ** 2))
-        acc.add_sq(i_m, j_m, dm * (-phi_m ** 2))
+        acc.add_sq(i_k, j_k, dup * (-up ** 2), diff_k)
+        acc.add_sq(i_m, j_m, dm * (-phi_m ** 2), diff_m)
     return value, skipped
 
 
@@ -515,6 +512,15 @@ def evaluate(spec: LossSpec, batch: PairBatch, coords, epoch: int = 0,
     lo, hi = batch.all_indices()[[0, -1]]
     if lo < 0 or hi >= len(coords):
         raise LossNumericsError(f"batch indices {lo}..{hi} outside 0..{len(coords) - 1}")
+    lp = batch.label_positives
+    if lp is not None:
+        off, b = lp.offsets, batch.size
+        if (len(off) != b + 1 or off[0] != 0 or off[-1] != len(lp.positions)
+                or np.any(off[1:] < off[:-1])):
+            raise LossNumericsError("label-positive offsets are not a CSR partition "
+                                    f"of {len(lp.positions)} positions over {b} anchors")
+        if len(lp.positions) and (lp.positions.min() < 0 or lp.positions.max() >= b):
+            raise LossNumericsError(f"label-positive positions outside 0..{b - 1}")
     w_u = spec.schedule.w_u(epoch, n_epochs) if spec.kind in MIDNEAR_KINDS else 0.0
     acc = _Accumulator(coords)
     value, skipped = _LOSS_FUNCS[spec.kind](batch, coords, spec, w_u, acc)

@@ -8,6 +8,7 @@ a true neighbor (collision probability O(k/N)).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,19 +52,59 @@ class ScheduleSpec:
         return self.w_u_init + (self.w_u_final - self.w_u_init) * (epoch / t_anneal)
 
 
+@dataclass(frozen=True, eq=False)
+class LabelPositives(Sequence):
+    """Per-anchor label-positive sets in CSR form: anchor r's set is
+    positions[offsets[r]:offsets[r + 1]]. Positions index the batch's
+    `anchors` (they are not dataset indices). Reads as a sequence of B arrays;
+    each item is a view into `positions`."""
+
+    positions: np.ndarray  # flat batch positions, anchor by anchor
+    offsets: np.ndarray    # (B + 1,), offsets[0] == 0, offsets[-1] == len(positions)
+
+    @classmethod
+    def of(cls, sets) -> "LabelPositives":
+        """`sets` itself when already in CSR form, else built once from B
+        per-anchor sequences of batch positions."""
+        if isinstance(sets, cls):
+            return sets
+        sets = [np.asarray(s, dtype=np.int64).ravel() for s in sets]
+        offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum([len(s) for s in sets], out=offsets[1:])
+        return cls(np.concatenate(sets) if sets else offsets[:0], offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, r):
+        r = range(len(self))[r]
+        return self.positions[self.offsets[r]:self.offsets[r + 1]]
+
+    def __iter__(self):  # ~5x faster than the __getitem__ loop Sequence would use
+        bounds = self.offsets.tolist()
+        return (self.positions[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+
+
 @dataclass
 class PairBatch:
     """One minibatch of anchor-positive edges with sampled companion sets.
 
     label_positives holds, per anchor, positions into `anchors` (not dataset
-    indices) of batch members sharing the anchor's label.
+    indices) of batch members sharing the anchor's label, stored as one
+    LabelPositives (CSR). Per-anchor sequences assigned to it are converted
+    once.
     """
 
     anchors: np.ndarray            # (B,)
     positives: np.ndarray          # (B,)
     negatives: np.ndarray          # (B, m)
-    midnears: np.ndarray | None = None        # (B, n_mid)
-    label_positives: list | None = None       # B arrays of batch positions
+    midnears: np.ndarray | None = None                 # (B, n_mid)
+    label_positives: LabelPositives | None = None      # B sets of batch positions
+
+    def __setattr__(self, name, value):
+        if name == "label_positives" and value is not None:
+            value = LabelPositives.of(value)
+        super().__setattr__(name, value)
 
     @property
     def size(self) -> int:
@@ -143,16 +184,14 @@ def sample_midnears(data: Dataset, anchors, rng, pool: int = DEFAULT_MIDNEAR_POO
     b = len(anchors)
     rep = np.repeat(anchors, n_mid)
     # Rejection sampling: redraw rows until all pool candidates are distinct.
-    cand = rep[:, None] + rng.integers(1, n, size=(b * n_mid, pool))
-    cand %= n
-    bad = (np.sort(cand, axis=1)[:, 1:] == np.sort(cand, axis=1)[:, :-1]).any(axis=1)
-    while bad.any():
-        rows = np.nonzero(bad)[0]
+    # Rows are kept sorted (ascending index, so the stable sort below breaks
+    # distance ties low); only redrawn rows are sorted again.
+    cand = np.sort((rep[:, None] + rng.integers(1, n, size=(b * n_mid, pool))) % n, axis=1)
+    rows = np.flatnonzero((cand[:, 1:] == cand[:, :-1]).any(axis=1))
+    while len(rows):
         redraw = rep[rows, None] + rng.integers(1, n, size=(len(rows), pool))
-        cand[rows] = redraw % n
-        srt = np.sort(cand[rows], axis=1)
-        bad[rows] = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-    cand = np.sort(cand, axis=1)
+        cand[rows] = np.sort(redraw % n, axis=1)
+        rows = rows[(cand[rows, 1:] == cand[rows, :-1]).any(axis=1)]
     diff = data.points[cand] - data.points[rep][:, None, :]
     d2 = np.einsum("bpd,bpd->bp", diff, diff)
     order = np.argsort(d2, axis=1, kind="stable")
@@ -173,41 +212,68 @@ def label_positive_set(labels, batch, anchor: int):
     return same[same != anchor]
 
 
+def _distinct_draws(high, k, rng):
+    """(len(high), k) draws, row r a uniform random k-subset of [0, high[r])
+    in random order (needs k <= high[r]). Each repeat of a value already in
+    its row is redrawn until no row has one. Which entries are redrawn depends
+    only on which are equal, never on their values, so the subsets stay
+    uniform; unlike redrawing whole rows, this stays fast when k is close to
+    high[r]."""
+    out = rng.integers(0, high[:, None], size=(len(high), k))
+    rows = np.arange(len(high))
+    while len(rows):
+        # value * k + column: equal values sort next to each other, first
+        # column first; every later one is redrawn.
+        srt = np.sort(out[rows] * k + np.arange(k), axis=1)
+        r, c = np.nonzero(srt[:, 1:] // k == srt[:, :-1] // k)
+        out[rows[r], srt[r, c + 1] % k] = rng.integers(0, high[rows[r]])
+        rows = np.unique(rows[r])
+    return out
+
+
 def attach_label_positives(batch: PairBatch, labels, max_per_anchor=None,
                            rng=None) -> PairBatch:
-    """Fill batch.label_positives from the dataset labels (positions per anchor).
+    """Fill batch.label_positives (CSR, positions into the batch) from the
+    dataset labels: each anchor gets the other anchors sharing its label.
 
-    With max_per_anchor set, each anchor keeps a uniform random subset of at
-    most that many same-label positions; the per-anchor average over the
-    label-positive set is estimated from the subset.
+    With max_per_anchor set, an anchor whose label group has more than that
+    many others keeps a uniform random subset of exactly max_per_anchor of
+    them, in random order; the per-anchor average over the label-positive set
+    is estimated from the subset. Otherwise the set lists the others in batch
+    order. Work and memory are O(B * cap), or O(B * largest set) without a
+    cap; there is no loop over anchors or labels.
     """
-    lab = labels[batch.anchors]
-    by_label: dict = {}
-    for pos, l in enumerate(lab):
-        by_label.setdefault(int(l), []).append(pos)
-    groups = {l: np.asarray(ps, dtype=np.int64) for l, ps in by_label.items()}
-    if max_per_anchor is None:
-        batch.label_positives = [
-            groups[int(l)][groups[int(l)] != pos] for pos, l in enumerate(lab)
-        ]
-        return batch
-    if rng is None:
+    if max_per_anchor is not None and max_per_anchor < 1:
+        raise SamplingError(f"max_per_anchor must be >= 1, got {max_per_anchor}")
+    if max_per_anchor is not None and rng is None:
         raise SamplingError("capped label positives need a generator")
-    out = [None] * len(lab)
-    for l, members in groups.items():
-        size = len(members)
-        if size - 1 <= max_per_anchor:
-            for pos in members:
-                out[pos] = members[members != pos]
-            continue
-        # Random keys per (anchor, candidate); own position excluded, the
-        # max_per_anchor smallest keys form a uniform subset.
-        keys = rng.random((size, size))
-        keys[np.arange(size), np.arange(size)] = np.inf
-        pick = np.argpartition(keys, max_per_anchor, axis=1)[:, :max_per_anchor]
-        for row, pos in enumerate(members):
-            out[pos] = members[pick[row]]
-    batch.label_positives = out
+    lab = np.asarray(labels)[batch.anchors]
+    b = len(lab)
+    # Anchors grouped by label, ascending position within each group.
+    order = np.argsort(lab, kind="stable")
+    srt = lab[order]
+    first = np.ones(b, dtype=bool)
+    first[1:] = srt[1:] != srt[:-1]
+    starts = np.flatnonzero(first)
+    slot = np.empty(b, dtype=np.int64)     # per anchor: its index in `order`
+    slot[order] = np.arange(b)
+    group = (np.cumsum(first) - 1)[slot]
+    start = starts[group]                  # per anchor: its group's first slot
+    rank = slot - start                    # per anchor: its rank within the group
+    others = np.diff(np.append(starts, b))[group] - 1
+    sizes = others if max_per_anchor is None else np.minimum(others, max_per_anchor)
+    # Offsets into the anchor's others (its own slot skipped below): all of
+    # them in order, or a uniform draw where the group exceeds the cap.
+    width = int(sizes.max()) if b else 0
+    pick = np.tile(np.arange(width), (b, 1))
+    drawn = others > sizes
+    if drawn.any():
+        pick[drawn] = _distinct_draws(others[drawn], width, rng)
+    pick += pick >= rank[:, None]
+    valid = np.arange(width) < sizes[:, None]
+    offsets = np.zeros(b + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    batch.label_positives = LabelPositives(order[(start[:, None] + pick)[valid]], offsets)
     return batch
 
 
@@ -236,6 +302,8 @@ class Sampler:
             raise SamplingError("mid-near sampling requires the dataset")
         if self.need_labels and (self.data is None or self.data.labels is None):
             raise SamplingError("label positives require a labeled dataset")
+        if self.max_label_positives is not None and self.max_label_positives < 1:
+            raise SamplingError("max_label_positives must be >= 1 (or None for no cap)")
         self.rng = np.random.default_rng(self.seed)
 
     def next_batch(self) -> PairBatch:

@@ -10,6 +10,7 @@ from cne import (
     LOSS_KINDS, LossNumericsError, LossSpec, PairBatch, ScheduleSpec,
     evaluate, grad_check, random_batch,
 )
+from cne.sampling import LabelPositives
 
 ZERO_SCHEDULE = ScheduleSpec(w_u_init=0.0, w_u_final=0.0)
 
@@ -583,6 +584,20 @@ def test_evaluate_rejects_out_of_range_batch():
         batch = pair_batch([0], [1], [[bad]])
         with pytest.raises(LossNumericsError):
             evaluate(LossSpec(kind="umap"), batch, coords)
+    # Label positives are batch positions: outside 0..B-1 is an error, not a
+    # wrap-around to another anchor.
+    coords = np.random.default_rng(14).normal(size=(5, 2))
+    for bad in (-1, 3):
+        batch = pair_batch([0, 1, 2], [1, 2, 0], [[3], [4], [3]],
+                           label_positives=[[bad], [0], [1]])
+        with pytest.raises(LossNumericsError):
+            evaluate(LossSpec(kind="supcon", m=1), batch, coords)
+    # Offsets must partition the positions over the B anchors.
+    for offsets in ([0, 1, 2], [0, 2, 1, 3], [1, 1, 2, 3], [0, 1, 2, 2]):
+        batch = pair_batch([0, 1, 2], [1, 2, 0], [[3], [4], [3]])
+        batch.label_positives = LabelPositives(np.array([2, 0, 1]), np.array(offsets))
+        with pytest.raises(LossNumericsError):
+            evaluate(LossSpec(kind="supcon", m=1), batch, coords)
 
 
 @pytest.mark.parametrize("kind", LOSS_KINDS)
@@ -613,13 +628,15 @@ def test_compact_batch_matches_full_coordinates(kind):
 
 def test_accumulator_matches_sequential_scatter():
     # Deferred bincount scatter == one np.add.at per contribution, in call order.
-    from cne.losses import _Accumulator
+    from cne.losses import _Accumulator, _dist
     rng = np.random.default_rng(3)
     coords = rng.normal(size=(20, 3))
     acc = _Accumulator(coords)
     for _ in range(3):
-        acc.add_sq(rng.integers(0, 20, 30), rng.integers(0, 20, 30), rng.normal(size=30))
-        acc.add_dist(rng.integers(0, 20, 30), rng.integers(0, 20, 30), rng.normal(size=30))
+        i, j = rng.integers(0, 20, 30), rng.integers(0, 20, 30)
+        acc.add_sq(i, j, rng.normal(size=30), coords[i] - coords[j])
+        i, j = rng.integers(0, 20, 30), rng.integers(0, 20, 30)
+        acc.add_dist(i, j, rng.normal(size=30), *_dist(coords, i, j))
     expect = np.zeros_like(coords)
     for rows, contrib in zip(acc.rows, acc.contribs):
         np.add.at(expect, rows, contrib)

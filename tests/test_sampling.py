@@ -3,13 +3,14 @@ label-positive sets, and the annealed mid-near weight schedule."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cne import (
     Dataset, PairBatch, Sampler, SamplingError, ScheduleSpec, knn_graph,
     label_positive_set, sample_edge_batch, sample_midnear, sample_midnears,
 )
 from cne.neighbor_graph import NeighborGraph
-from cne.sampling import attach_label_positives
+from cne.sampling import LabelPositives, attach_label_positives
 
 
 def two_point_graph():
@@ -149,6 +150,99 @@ def test_attach_label_positives_cap_is_uniform_subset():
     expect = cap / (n - 1)
     sigma = np.sqrt(expect * (1 - expect) / trials)
     assert np.all(np.abs(freq - expect) < 5 * sigma)
+
+
+def test_attach_label_positives_near_cap_subsets_are_uniform():
+    # Groups just above the cap: every one of the C(5, 3) subsets of the
+    # other members is equally likely, not only each single member.
+    rng = np.random.default_rng(8)
+    batch = PairBatch(anchors=np.arange(6), positives=np.zeros(6, dtype=np.int64),
+                      negatives=np.zeros((6, 1), dtype=np.int64))
+    labels = np.zeros(6, dtype=np.int64)
+    counts: dict = {}
+    trials = 2000
+    for _ in range(trials):
+        attach_label_positives(batch, labels, max_per_anchor=3, rng=rng)
+        key = tuple(sorted(batch.label_positives[2]))
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == 10 and all(2 not in key for key in counts)
+    expect = trials / 10
+    sigma = np.sqrt(expect * (1 - 1 / 10))
+    assert all(abs(c - expect) < 5 * sigma for c in counts.values())
+
+
+def test_label_positive_cap_below_one_is_rejected():
+    rng = np.random.default_rng(9)
+    batch = PairBatch(anchors=np.arange(4), positives=np.zeros(4, dtype=np.int64),
+                      negatives=np.zeros((4, 1), dtype=np.int64))
+    labels = np.zeros(4, dtype=np.int64)
+    for cap in (0, -1):
+        with pytest.raises(SamplingError):
+            attach_label_positives(batch, labels, max_per_anchor=cap, rng=rng)
+    ds = Dataset(points=rng.normal(size=(10, 2)), labels=np.arange(10) % 2)
+    g = knn_graph(ds, k=3)
+    for cap in (0, -1):
+        with pytest.raises(SamplingError):
+            Sampler(graph=g, data=ds, need_labels=True, max_label_positives=cap)
+    Sampler(graph=g, data=ds, need_labels=True, max_label_positives=None)
+
+
+def test_label_positives_lists_convert_to_csr():
+    batch = PairBatch(anchors=np.arange(3), positives=np.zeros(3, dtype=np.int64),
+                      negatives=np.zeros((3, 1), dtype=np.int64),
+                      label_positives=[[1, 2], [], [0]])
+    lp = batch.label_positives
+    assert isinstance(lp, LabelPositives)
+    assert lp.positions.tolist() == [1, 2, 0] and lp.offsets.tolist() == [0, 2, 2, 3]
+    assert [s.tolist() for s in lp] == [[1, 2], [], [0]]
+    assert len(lp) == 3 and lp[-1].tolist() == [0]
+    with pytest.raises(IndexError):
+        lp[3]
+    assert batch.remap(np.arange(3)).label_positives is lp
+    batch.label_positives = [np.array([2]), np.array([0]), np.array([1])]
+    assert batch.label_positives.positions.tolist() == [2, 0, 1]
+
+
+@st.composite
+def labelled_batches(draw):
+    """(labels, batch, cap): anchors (repeats allowed) of a small labelled
+    dataset, including a single label, singleton groups, and caps at, above
+    and below group size - 1."""
+    n = draw(st.integers(1, 30))
+    labels = np.array(draw(st.lists(st.integers(0, draw(st.integers(0, 4))),
+                                    min_size=n, max_size=n)), dtype=np.int64)
+    anchors = np.array(draw(st.lists(st.integers(0, n - 1), max_size=40)), dtype=np.int64)
+    b = len(anchors)
+    batch = PairBatch(anchors=anchors, positives=np.zeros(b, dtype=np.int64),
+                      negatives=np.zeros((b, 1), dtype=np.int64))
+    mode = draw(st.sampled_from(["none", "any", "near"]))
+    if mode == "none":
+        cap = None
+    elif mode == "any":
+        cap = draw(st.integers(1, 12))
+    else:  # a group's size - 1, or one off it
+        others = [int(g) - 1 for g in np.bincount(labels[anchors]) if g > 1] or [1]
+        cap = max(1, draw(st.sampled_from(others)) + draw(st.integers(-1, 1)))
+    return labels, batch, cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_batches(), st.integers(0, 2**32 - 1))
+def test_label_positive_sets_properties(problem, seed):
+    labels, batch, cap = problem
+    attach_label_positives(batch, labels, max_per_anchor=cap, rng=np.random.default_rng(seed))
+    lp = batch.label_positives
+    assert len(lp) == batch.size and lp.offsets[0] == 0
+    assert lp.offsets[-1] == len(lp.positions)
+    for r, s in enumerate(lp):
+        full = label_positive_set(labels, batch.anchors, r)
+        assert len(set(s.tolist())) == len(s)
+        assert r not in s
+        assert (labels[batch.anchors[s]] == labels[batch.anchors[r]]).all()
+        assert set(s.tolist()) <= set(full.tolist())
+        assert len(s) == (len(full) if cap is None else min(cap, len(full)))
+        if cap is None:
+            assert s.tolist() == full.tolist()
 
 
 def test_schedule_closed_form():
