@@ -17,6 +17,7 @@ import json
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,9 @@ from .data import Dataset, load_csv, make_blobs, make_moons, standardize, write_
 from .errors import CneError
 from .losses import LOSS_KINDS, SUPERVISED_KINDS, LossSpec, grad_check, loss_defaults
 from .metrics import quality_report
-from .neighbor_graph import knn_graph
-from .optimize import OptimConfig, fit_nonparametric, fit_parametric
-from .sampling import ScheduleSpec, random_batch
+from .neighbor_graph import DEFAULT_K, knn_graph
+from .optimize import MODES, OptimConfig, fit_nonparametric, fit_parametric
+from .sampling import DEFAULT_M, ScheduleSpec, random_batch
 from .svgplot import emit_svg
 
 EXIT_OK = 0
@@ -53,53 +54,54 @@ def _load_config_file(path) -> dict:
     return flat
 
 
-def _coerce(value: str, like):
+def _coerce(key: str, value: str):
+    """Parse a config-file value as the type of the setting's default; a
+    setting whose default is None keeps the string."""
+    like = DEFAULTS[key]
     if isinstance(like, bool):
         low = value.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise UsageError(f"cannot parse boolean {value!r}")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
+        raise UsageError(f"config key {key!r}: cannot parse boolean {value!r}")
+    if like is not None:
+        try:
+            value = type(like)(value)
+        except ValueError:
+            raise UsageError(f"config key {key!r}: cannot parse {value!r} "
+                             f"as {type(like).__name__}") from None
+    if key in CHOICES and value not in CHOICES[key]:
+        raise UsageError(f"config key {key!r}: {value!r} is not one of {CHOICES[key]}")
     return value
 
+
+# The run settings are the fields of these dataclasses; three go by a
+# different name on the command line and in config files.
+RENAMES = {"kind": "loss", "learning_rate": "lr", "embedding_dim": "dim"}
 
 DEFAULTS = {
     "label_column": None,
     "standardize": False,
-    "k": 15,
-    "loss": "umap",
-    "m": 5,
-    "tau": 0.5,
-    "w_p": 1.0,
-    "w_u_init": 1.0,
-    "w_u_final": 0.0,
-    "anneal_fraction": 0.5,
-    "epochs": None,  # resolved per mode
-    "lr": None,      # resolved per mode
-    "momentum": 0.9,
-    "grad_clip": 0.05,
-    "batch_size": 1024,
-    "seed": 0,
+    "k": DEFAULT_K,
     "deterministic": True,  # accepted and recorded; every run is deterministic
-    "mode": "nonparametric",
-    "dim": 2,
-    "log_ratio": False,
-    "paper_as_written": False,
-    "corrected_pacmap_sign": True,
-    "denominator_includes_positive": False,
     "plot": False,
+    **{RENAMES.get(f.name, f.name): f.default
+       for cls in (LossSpec, ScheduleSpec, OptimConfig)
+       for f in fields(cls) if f.default is not MISSING},
+}
+PARAMETRIC_DEFAULTS = {"epochs": 100, "lr": 0.01}
+CHOICES = {"loss": LOSS_KINDS, "mode": MODES}
+HELP = {
+    "grad_clip": "element-wise gradient bound; 0 disables",
+    "deterministic": "accepted for compatibility; runs are always deterministic",
 }
 
 
 def _resolve(args, config: dict, loss: str | None = None) -> dict:
-    """Merge precedence: CLI flag > config file > per-loss default > built-in
-    default. `loss` overrides the loss selection before per-loss defaults
-    are applied (used by the bench grid)."""
+    """Merge precedence: CLI flag > config file > per-loss or parametric-mode
+    default > built-in default. `loss` overrides the loss selection before
+    per-loss defaults are applied (used by the bench grid)."""
     merged = dict(DEFAULTS)
     explicit = set()
     for key, value in config.items():
@@ -108,10 +110,7 @@ def _resolve(args, config: dict, loss: str | None = None) -> dict:
             continue
         if key not in merged:
             raise UsageError(f"unknown config key {key!r}")
-        like = merged[key]
-        if like is None:
-            like = 0 if key == "epochs" else 0.0
-        merged[key] = _coerce(value, like)
+        merged[key] = _coerce(key, value)
         explicit.add(key)
     for key in merged:
         cli_val = getattr(args, key, None)
@@ -124,13 +123,12 @@ def _resolve(args, config: dict, loss: str | None = None) -> dict:
             merged[key] = cli_val
     if loss is not None:
         merged["loss"] = loss
-    for key, value in loss_defaults(merged["loss"]).items():
+    overrides = loss_defaults(merged["loss"])
+    if merged["mode"] == "parametric":
+        overrides.update(PARAMETRIC_DEFAULTS)
+    for key, value in overrides.items():
         if key not in explicit:
             merged[key] = value
-    if merged["epochs"] is None:
-        merged["epochs"] = 250 if merged["mode"] == "nonparametric" else 100
-    if merged["lr"] is None:
-        merged["lr"] = 1.0 if merged["mode"] == "nonparametric" else 0.01
     return merged
 
 
@@ -179,26 +177,23 @@ def _load_dataset(cfg: dict) -> Dataset:
     return ds
 
 
+def _kwargs(cls, cfg: dict) -> dict:
+    """Keyword arguments for dataclass `cls`: its run settings, from `cfg`."""
+    return {f.name: cfg[RENAMES.get(f.name, f.name)]
+            for f in fields(cls) if f.default is not MISSING}
+
+
+def _new_spec(**kwargs) -> LossSpec:
+    """LossSpec; an invalid setting is a usage error."""
+    try:
+        return LossSpec(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _loss_spec(cfg: dict) -> LossSpec:
-    schedule = ScheduleSpec(
-        w_p=cfg["w_p"], w_u_init=cfg["w_u_init"],
-        w_u_final=cfg["w_u_final"], anneal_fraction=cfg["anneal_fraction"],
-    )
-    return LossSpec(
-        kind=cfg["loss"], m=cfg["m"], tau=cfg["tau"], schedule=schedule,
-        log_ratio=cfg["log_ratio"],
-        corrected_pacmap_sign=cfg["corrected_pacmap_sign"],
-        denominator_includes_positive=cfg["denominator_includes_positive"],
-        paper_as_written=cfg["paper_as_written"],
-    )
-
-
-def _optim_config(cfg: dict) -> OptimConfig:
-    return OptimConfig(
-        epochs=cfg["epochs"], learning_rate=cfg["lr"], momentum=cfg["momentum"],
-        batch_size=cfg["batch_size"], seed=cfg["seed"],
-        mode=cfg["mode"], embedding_dim=cfg["dim"], grad_clip=cfg["grad_clip"],
-    )
+    schedule = ScheduleSpec(**_kwargs(ScheduleSpec, cfg))
+    return _new_spec(schedule=schedule, **_kwargs(LossSpec, cfg))
 
 
 def _write_embedding_csv(path, emb, labels):
@@ -224,7 +219,7 @@ def run_embed(cfg: dict) -> dict:
             raise UsageError(f"loss {spec.kind!r} requires labeled data")
         if len(np.unique(ds.labels)) < 2:
             raise UsageError(f"loss {spec.kind!r} requires at least two classes")
-    optim = _optim_config(cfg)
+    optim = OptimConfig(**_kwargs(OptimConfig, cfg))
     out = Path(cfg.get("out") or "out")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -282,7 +277,10 @@ def _bench_one(cfg):
 def cmd_bench(args) -> int:
     config = _load_config_file(args.config) if args.config else {}
     loss_list = [s.strip() for s in args.losses.split(",") if s.strip()]
-    seed_list = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seed_list = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise UsageError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     if not loss_list or not seed_list:
         raise UsageError("bench needs a non-empty --losses and --seeds grid")
     for name in loss_list:
@@ -343,7 +341,7 @@ def cmd_gradcheck(args) -> int:
     labels = rng.integers(0, 3, size=n)
     failed = False
     for kind in kinds:
-        spec = LossSpec(kind=kind, m=m, log_ratio=args.log_ratio or False)
+        spec = _new_spec(kind=kind, m=m, log_ratio=args.log_ratio or False)
         worst = 0.0
         for _ in range(args.trials):
             coords = rng.normal(size=(n, d))
@@ -367,37 +365,14 @@ def cmd_plot(args) -> int:
 def _add_run_flags(p):
     p.add_argument("--config", help="INI-style config file; CLI flags override it")
     p.add_argument("--data", help="CSV path or generator spec (blobs:...|moons:...)")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--k", type=int)
-    p.add_argument("--loss", choices=LOSS_KINDS)
-    p.add_argument("--m", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--w-p", dest="w_p", type=float)
-    p.add_argument("--w-u-init", dest="w_u_init", type=float)
-    p.add_argument("--w-u-final", dest="w_u_final", type=float)
-    p.add_argument("--anneal-fraction", dest="anneal_fraction", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--grad-clip", dest="grad_clip", type=float,
-                   help="element-wise gradient bound; 0 disables")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=None,
-                   help="accepted for compatibility; runs are always deterministic")
-    p.add_argument("--mode", choices=("nonparametric", "parametric"))
-    p.add_argument("--dim", type=int)
-    p.add_argument("--log-ratio", dest="log_ratio",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--paper-as-written", dest="paper_as_written",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--corrected-pacmap-sign", dest="corrected_pacmap_sign",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--denominator-includes-positive", dest="denominator_includes_positive",
-                   action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--out")
-    p.add_argument("--plot", action=argparse.BooleanOptionalAction, default=None)
+    for key, default in DEFAULTS.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            p.add_argument(flag, action=argparse.BooleanOptionalAction, help=HELP.get(key))
+        else:
+            p.add_argument(flag, type=str if default is None else type(default),
+                           choices=CHOICES.get(key), help=HELP.get(key))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--losses", help="comma-separated subset (default: all)")
     p_grad.add_argument("--trials", type=int, default=20)
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--m", type=int, default=5)
+    p_grad.add_argument("--m", type=int, default=DEFAULT_M)
     p_grad.add_argument("--log-ratio", dest="log_ratio",
                         action=argparse.BooleanOptionalAction, default=None)
     p_grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)

@@ -12,13 +12,13 @@ is exactly the negation of the contribution to j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import LossNumericsError, SamplingError
-from .kernels import EPS_SQ_DIST
-from .sampling import PairBatch, ScheduleSpec
+from .kernels import EPS_SQ_DIST, cauchy
+from .sampling import DEFAULT_M, PairBatch, ScheduleSpec
 
 LOSS_KINDS = (
     "tsne", "umap", "nce", "trimap", "pacmap", "infonce",
@@ -54,7 +54,7 @@ def default_spec(kind: str, **overrides) -> "LossSpec":
     """
     merged = loss_defaults(kind)
     merged.update(overrides)
-    sched_keys = ("w_p", "w_u_init", "w_u_final", "anneal_fraction")
+    sched_keys = [f.name for f in fields(ScheduleSpec)]
     sched_kwargs = {k: merged.pop(k) for k in sched_keys if k in merged}
     if sched_kwargs and "schedule" not in merged:
         merged["schedule"] = ScheduleSpec(**sched_kwargs)
@@ -71,7 +71,7 @@ class LossSpec:
     """
 
     kind: str = "umap"
-    m: int = 5
+    m: int = DEFAULT_M
     tau: float = 0.5
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     log_ratio: bool = False
@@ -104,16 +104,10 @@ class LossSpec:
         return self.kind in SUPERVISED_KINDS
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "m": self.m, "tau": self.tau,
-            "w_p": self.schedule.w_p, "w_u_init": self.schedule.w_u_init,
-            "w_u_final": self.schedule.w_u_final,
-            "anneal_fraction": self.schedule.anneal_fraction,
-            "log_ratio": self.log_ratio,
-            "corrected_pacmap_sign": self.corrected_pacmap_sign,
-            "denominator_includes_positive": self.denominator_includes_positive,
-            "paper_as_written": self.paper_as_written,
-        }
+        """The fields, with the schedule's merged in flat."""
+        flat = asdict(self)
+        flat.update(flat.pop("schedule"))
+        return flat
 
 
 @dataclass
@@ -179,7 +173,7 @@ def _phi(coords, i, j):
     on to _Accumulator.add_sq, so each pair set is gathered once."""
     diff = _diff(coords, i, j)
     s = np.maximum(np.einsum("bd,bd->b", diff, diff), EPS_SQ_DIST)
-    return diff, s, 1.0 / (s + 1.0)
+    return diff, s, cauchy(s)
 
 
 def _dist(coords, i, j):

@@ -5,7 +5,7 @@ of bounded memory."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,13 +26,7 @@ class QualityReport:
     k_accuracy: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "knn_recall": self.knn_recall,
-            "knn_accuracy": self.knn_accuracy,
-            "silhouette": self.silhouette,
-            "k_recall": self.k_recall,
-            "k_accuracy": self.k_accuracy,
-        }
+        return asdict(self)
 
 
 def knn_recall(data: Dataset, emb: Embedding, k: int = DEFAULT_K_RECALL, *,

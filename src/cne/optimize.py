@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,12 +17,12 @@ from .data import Dataset, Embedding
 from .errors import CneError, DivergenceError
 from .losses import MIDNEAR_KINDS, LossSpec, evaluate
 from .neighbor_graph import NeighborGraph
-from .sampling import Sampler
+from .sampling import DEFAULT_BATCH_SIZE, Sampler
 
 PCA_INIT_SCALE = 1e-2
 HIDDEN_SIZES = (64, 64)
 ENCODER_MAGIC = b"CNEENC01"
-DEFAULT_GRAD_CLIP = 0.05
+MODES = ("nonparametric", "parametric")
 
 
 @dataclass
@@ -30,7 +30,7 @@ class OptimConfig:
     epochs: int = 250
     learning_rate: float = 1.0
     momentum: float = 0.9
-    batch_size: int = 1024
+    batch_size: int = DEFAULT_BATCH_SIZE
     seed: int = 0
     mode: str = "nonparametric"
     embedding_dim: int = 2
@@ -38,7 +38,7 @@ class OptimConfig:
     # update. The repulsive terms grow like 1/d^2 near coincident points, so
     # without a bound the first steps from a tight initialization blow the
     # layout apart. 0 disables clipping.
-    grad_clip: float = DEFAULT_GRAD_CLIP
+    grad_clip: float = 0.05
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -49,16 +49,15 @@ class OptimConfig:
             raise CneError("momentum must lie in [0, 1)")
         if self.grad_clip < 0:
             raise CneError("grad_clip must be >= 0")
-        if self.mode not in ("nonparametric", "parametric"):
-            raise CneError(f"unknown mode {self.mode!r}")
+        if self.batch_size < 1:
+            raise CneError("batch_size must be >= 1")
+        if self.embedding_dim < 1:
+            raise CneError("embedding_dim must be >= 1")
+        if self.mode not in MODES:
+            raise CneError(f"unknown mode {self.mode!r}; choose from {MODES}")
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "learning_rate": self.learning_rate,
-            "momentum": self.momentum, "batch_size": self.batch_size,
-            "seed": self.seed, "mode": self.mode,
-            "embedding_dim": self.embedding_dim, "grad_clip": self.grad_clip,
-        }
+        return asdict(self)
 
 
 def pca_init(points, d: int, scale: float = PCA_INIT_SCALE):

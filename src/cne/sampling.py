@@ -192,7 +192,7 @@ def sample_midnears(data: Dataset, anchors, rng, pool: int = DEFAULT_MIDNEAR_POO
         redraw = rep[rows, None] + rng.integers(1, n, size=(len(rows), pool))
         cand[rows] = np.sort(redraw % n, axis=1)
         rows = rows[(cand[rows, 1:] == cand[rows, :-1]).any(axis=1)]
-    diff = data.points[cand] - data.points[rep][:, None, :]
+    diff = data.points.take(cand, axis=0) - data.points.take(rep, axis=0)[:, None, :]
     d2 = np.einsum("bpd,bpd->bp", diff, diff)
     order = np.argsort(d2, axis=1, kind="stable")
     second = cand[np.arange(b * n_mid), order[:, 1]]

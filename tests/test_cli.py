@@ -5,14 +5,41 @@ import json
 import numpy as np
 import pytest
 
-from cne.cli import main
+from cne.cli import DEFAULTS, _resolve, build_parser, main
 
 BLOBS = "blobs:n_per_class=40,n_classes=3,dim=6,separation=15,seed=0"
 FAST = ["--epochs", "5", "--k", "6", "--batch-size", "256"]
 
 
+# config.json of `cne embed --data BLOBS` before the run settings were
+# generated from the dataclass fields; the text must not change.
+DEFAULT_EMBED_CONFIG = {
+    "anneal_fraction": 0.5, "batch_size": 1024, "corrected_pacmap_sign": True,
+    "data": BLOBS, "denominator_includes_positive": False, "deterministic": True,
+    "dim": 2, "epochs": 250, "grad_clip": 0.05, "k": 15, "label_column": None,
+    "log_ratio": False, "loss": "umap",
+    "loss_spec": {
+        "anneal_fraction": 0.5, "corrected_pacmap_sign": True,
+        "denominator_includes_positive": False, "kind": "umap", "log_ratio": False,
+        "m": 5, "paper_as_written": False, "tau": 0.5, "w_p": 1.0, "w_u_final": 0.0,
+        "w_u_init": 1.0,
+    },
+    "lr": 1.0, "m": 5, "mode": "nonparametric", "momentum": 0.9,
+    "optim": {
+        "batch_size": 1024, "embedding_dim": 2, "epochs": 250, "grad_clip": 0.05,
+        "learning_rate": 1.0, "mode": "nonparametric", "momentum": 0.9, "seed": 0,
+    },
+    "paper_as_written": False, "plot": False, "seed": 0, "standardize": False,
+    "tau": 0.5, "w_p": 1.0, "w_u_final": 0.0, "w_u_init": 1.0,
+}
+
+
 def run(argv):
     return main(argv)
+
+
+def resolve(argv, config=None):
+    return _resolve(build_parser().parse_args(["embed", *argv]), config or {})
 
 
 def test_gen_blobs(tmp_path, capsys):
@@ -231,3 +258,91 @@ def test_plot_from_embedding_csv(tmp_path, capsys):
                 "--label-column", "label", "--skip-id-column", "--out", str(svg)])
     assert code == 0
     assert svg.read_text().count("<circle") == 120
+
+
+def test_default_embed_config_is_unchanged(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["embed", "--data", BLOBS, "--out", str(out)]) == 0
+    expected = json.dumps(DEFAULT_EMBED_CONFIG, indent=2, sort_keys=True)
+    assert (out / "config.json").read_text() == expected
+
+
+def test_parametric_mode_defaults():
+    assert (resolve([])["epochs"], resolve([])["lr"]) == (250, 1.0)
+    cfg = resolve(["--mode", "parametric"])
+    assert (cfg["epochs"], cfg["lr"]) == (100, 0.01)
+    cfg = resolve(["--mode", "parametric", "--epochs", "7"])
+    assert (cfg["epochs"], cfg["lr"]) == (7, 0.01)
+    cfg = resolve([], {"mode": "parametric", "lr": "0.02"})
+    assert (cfg["epochs"], cfg["lr"]) == (100, 0.02)
+
+
+def _other_value(key, default):
+    """A value of the setting's type that differs from its default."""
+    if isinstance(default, bool):
+        return not default
+    if default is None:
+        return "label"
+    if isinstance(default, str):
+        return {"loss": "pacmap", "mode": "parametric"}[key]
+    return default + 1
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTS))
+def test_every_setting_is_a_flag_and_a_config_key(key):
+    value = _other_value(key, DEFAULTS[key])
+    flag = "--" + key.replace("_", "-")
+    if isinstance(value, bool):
+        argv = [flag if value else "--no-" + flag[2:]]
+    else:
+        argv = [flag, str(value)]
+    from_flag = resolve(argv)[key]
+    from_file = resolve([], {key: str(value)})[key]
+    assert from_flag == value and type(from_flag) is type(value)
+    assert from_file == value and type(from_file) is type(value)
+
+
+def test_config_file_label_column(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    assert run(["gen", BLOBS, "--out", str(data)]) == 0
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[run]\nlabel_column = label\nloss = supcon\n")
+    out = tmp_path / "run"
+    assert run(["embed", "--config", str(cfgfile), "--data", str(data),
+                "--out", str(out), *FAST]) == 0
+    assert json.loads((out / "config.json").read_text())["label_column"] == "label"
+    assert json.loads((out / "quality.json").read_text())["knn_accuracy"] is not None
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["embed", "--data", BLOBS, "--m", "0"], None),
+    (["embed", "--data", BLOBS, "--tau", "0"], None),
+    (["embed", "--data", BLOBS, "--batch-size", "0"], None),
+    (["embed", "--data", BLOBS, "--dim", "0"], None),
+    (["embed", "--data", BLOBS], "[run]\nk = abc\n"),
+    (["embed", "--data", BLOBS], "[run]\nmode = quantum\n"),
+    (["bench", "--data", BLOBS, "--losses", "umap", "--seeds", "a"], None),
+    (["gradcheck", "--m", "0"], None),
+], ids=["m0", "tau0", "batch0", "dim0", "ini-k", "ini-mode", "seeds", "gradcheck-m0"])
+def test_degenerate_settings_exit_with_a_message(tmp_path, capsys, argv, ini):
+    if ini is not None:
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(ini)
+        argv = [*argv, "--config", str(cfgfile)]
+    if argv[0] != "gradcheck":
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    assert run(argv) in (2, 3)
+    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+def test_bench_jobs_match_serial_run(tmp_path, capsys):
+    outs = {}
+    for jobs in ("1", "2"):
+        out = outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert run(["bench", "--data", BLOBS, "--losses", "umap,trimap",
+                    "--seeds", "0,1", "--jobs", jobs, "--out", str(out), *FAST]) == 0
+    serial, threaded = (json.loads((outs[j] / "bench.json").read_text()) for j in ("1", "2"))
+    assert threaded["rows"] == serial["rows"]
+    for cell in ("umap_seed0", "umap_seed1", "trimap_seed0", "trimap_seed1"):
+        assert ((outs["2"] / cell / "embedding.csv").read_bytes()
+                == (outs["1"] / cell / "embedding.csv").read_bytes())

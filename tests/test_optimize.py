@@ -27,6 +27,10 @@ def test_optim_config_validation():
         OptimConfig(grad_clip=-1.0)
     with pytest.raises(CneError):
         OptimConfig(mode="quantum")
+    with pytest.raises(CneError):
+        OptimConfig(batch_size=0)
+    with pytest.raises(CneError):
+        OptimConfig(embedding_dim=0)
 
 
 def test_pca_init_shape_and_scale():
