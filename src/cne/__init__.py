@@ -10,7 +10,7 @@ from .data import Dataset, Embedding, load_csv, make_blobs, make_moons, standard
 from .errors import (
     CneError, DataError, DivergenceError, GraphError, LossNumericsError, SamplingError,
 )
-from .kernels import KernelSpec, cauchy, cauchy_unnormalized, exp_sim, sq_dist
+from .kernels import cauchy, cauchy_unnormalized
 from .losses import (
     LOSS_KINDS, LossGrad, LossSpec, default_spec, evaluate, grad_check, loss_defaults,
 )
@@ -18,8 +18,8 @@ from .metrics import QualityReport, knn_accuracy, knn_recall, quality_report, si
 from .neighbor_graph import NeighborGraph, affinity, knn_graph
 from .optimize import Encoder, OptimConfig, fit_nonparametric, fit_parametric, transform
 from .sampling import (
-    LabelPositives, PairBatch, Sampler, ScheduleSpec, label_positive_set, random_batch,
-    sample_edge_batch, sample_midnear, sample_midnears,
+    LabelPositives, PairBatch, Sampler, ScheduleSpec, random_batch, sample_edge_batch,
+    sample_midnears,
 )
 from .svgplot import emit_svg, render_svg
 
@@ -28,13 +28,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "Embedding", "load_csv", "make_blobs", "make_moons", "standardize",
     "write_csv", "CneError", "DataError", "DivergenceError", "GraphError",
-    "LossNumericsError", "SamplingError", "KernelSpec", "cauchy",
-    "cauchy_unnormalized", "exp_sim", "sq_dist", "LOSS_KINDS", "LossGrad",
+    "LossNumericsError", "SamplingError", "cauchy", "cauchy_unnormalized",
+    "LOSS_KINDS", "LossGrad",
     "LossSpec", "default_spec", "loss_defaults", "evaluate", "grad_check",
     "QualityReport", "knn_accuracy",
     "knn_recall", "quality_report", "silhouette", "NeighborGraph", "affinity",
     "knn_graph", "Encoder", "OptimConfig", "fit_nonparametric", "fit_parametric",
-    "transform", "LabelPositives", "PairBatch", "Sampler", "ScheduleSpec", "label_positive_set",
-    "random_batch", "sample_edge_batch", "sample_midnear", "sample_midnears",
+    "transform", "LabelPositives", "PairBatch", "Sampler", "ScheduleSpec",
+    "random_batch", "sample_edge_batch", "sample_midnears",
     "emit_svg", "render_svg",
 ]

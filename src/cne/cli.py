@@ -161,6 +161,13 @@ def _parse_generator_spec(spec: str) -> Dataset:
     raise UsageError(f"unknown generator {kind!r}; use blobs:... or moons:...")
 
 
+def _label_column(label):
+    """A digit string selects the label column by index, other text by name."""
+    if isinstance(label, str) and label.lstrip("-").isdigit():
+        return int(label)
+    return label
+
+
 def _load_dataset(cfg: dict) -> Dataset:
     source = cfg.get("data")
     if not source:
@@ -168,10 +175,7 @@ def _load_dataset(cfg: dict) -> Dataset:
     if source.startswith(("blobs:", "moons:")) or source in ("blobs", "moons"):
         ds = _parse_generator_spec(source)
     else:
-        label = cfg.get("label_column")
-        if isinstance(label, str) and label.lstrip("-").isdigit():
-            label = int(label)
-        ds = load_csv(source, label_column=label)
+        ds = load_csv(source, label_column=_label_column(cfg.get("label_column")))
     if cfg.get("standardize"):
         ds = standardize(ds)
     return ds
@@ -191,9 +195,11 @@ def _new_spec(**kwargs) -> LossSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _loss_spec(cfg: dict) -> LossSpec:
+def _specs(cfg: dict) -> tuple[LossSpec, OptimConfig]:
+    """The run's LossSpec and OptimConfig; an invalid setting raises."""
     schedule = ScheduleSpec(**_kwargs(ScheduleSpec, cfg))
-    return _new_spec(schedule=schedule, **_kwargs(LossSpec, cfg))
+    spec = _new_spec(schedule=schedule, **_kwargs(LossSpec, cfg))
+    return spec, OptimConfig(**_kwargs(OptimConfig, cfg))
 
 
 def _write_embedding_csv(path, emb, labels):
@@ -213,13 +219,12 @@ def _write_embedding_csv(path, emb, labels):
 def run_embed(cfg: dict) -> dict:
     """One full training run; returns the quality report dict."""
     ds = _load_dataset(cfg)
-    spec = _loss_spec(cfg)
+    spec, optim = _specs(cfg)
     if spec.kind in SUPERVISED_KINDS:
         if ds.labels is None:
             raise UsageError(f"loss {spec.kind!r} requires labeled data")
         if len(np.unique(ds.labels)) < 2:
             raise UsageError(f"loss {spec.kind!r} requires at least two classes")
-    optim = OptimConfig(**_kwargs(OptimConfig, cfg))
     out = Path(cfg.get("out") or "out")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -288,15 +293,16 @@ def cmd_bench(args) -> int:
             raise UsageError(f"unknown loss {name!r}")
     base = _resolve(args, config)
     out = Path(base.get("out") or "bench_out")
-    out.mkdir(parents=True, exist_ok=True)
     grid = []
     for loss in loss_list:
         resolved = _resolve(args, config, loss=loss)
+        _specs(resolved)  # a setting every cell would reject fails before the grid
         for seed in seed_list:
             cfg = dict(resolved)
             cfg["seed"] = seed
             cfg["out"] = str(out / f"{loss}_seed{seed}")
             grid.append(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_bench_one, grid))
@@ -355,7 +361,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    ds = load_csv(args.data, label_column=args.label_column)
+    ds = load_csv(args.data, label_column=_label_column(args.label_column))
     coords = ds.points[:, 1:] if args.skip_id_column else ds.points
     emit_svg(coords, ds.labels, args.out)
     print(f"wrote {args.out}")

@@ -21,7 +21,7 @@ class Dataset:
     Labels, when present, are dense non-negative integers 0..C-1.
     """
 
-    def __init__(self, points, labels=None, ids=None):
+    def __init__(self, points, labels=None):
         points = np.ascontiguousarray(points, dtype=np.float64)
         if points.ndim != 2:
             raise DataError(f"points must be a 2-D array, got shape {points.shape}")
@@ -38,17 +38,9 @@ class Dataset:
             if labels.size and labels.min() < 0:
                 raise DataError("labels must be non-negative integers")
             labels.setflags(write=False)
-        if ids is None:
-            ids = np.arange(points.shape[0], dtype=np.int64)
-        else:
-            ids = np.asarray(ids)
-            if ids.shape != (points.shape[0],):
-                raise DataError("ids length does not match N")
         points.setflags(write=False)
-        ids.setflags(write=False)
         self.points = points
         self.labels = labels
-        self.ids = ids
 
     @property
     def n(self) -> int:
@@ -58,24 +50,16 @@ class Dataset:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        if self.labels is None:
-            return 0
-        return int(self.labels.max()) + 1 if self.labels.size else 0
-
 
 class Embedding:
     """N points in low-dimensional space (usually d=2)."""
 
-    def __init__(self, coords, d=None):
+    def __init__(self, coords):
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         if coords.ndim != 2:
             raise DataError(f"coords must be a 2-D array, got shape {coords.shape}")
         if not np.all(np.isfinite(coords)):
             raise DataError("embedding coordinates contain non-finite values")
-        if d is not None and d != coords.shape[1]:
-            raise DataError(f"declared d={d} does not match coords width {coords.shape[1]}")
         self.coords = coords
         self.d = coords.shape[1]
 
@@ -113,7 +97,7 @@ def densify_labels(raw):
     return out
 
 
-def load_csv(path, label_column=None, standardize_features=False) -> Dataset:
+def load_csv(path, label_column=None) -> Dataset:
     """Load a CSV file of real-valued rows with an optional label column.
 
     The header row is detected automatically (any non-numeric cell in the
@@ -169,10 +153,7 @@ def load_csv(path, label_column=None, standardize_features=False) -> Dataset:
     if len(points) < 2:
         raise DataError(f"{path}: need at least 2 rows, got {len(points)}")
     labels = densify_labels(raw_labels) if label_idx is not None else None
-    ds = Dataset(np.asarray(points), labels)
-    if standardize_features:
-        ds = standardize(ds)
-    return ds
+    return Dataset(np.asarray(points), labels)
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -195,7 +176,7 @@ def standardize(dataset: Dataset) -> Dataset:
     mean = dataset.points.mean(axis=0)
     std = dataset.points.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
-    return Dataset((dataset.points - mean) / std, dataset.labels, dataset.ids)
+    return Dataset((dataset.points - mean) / std, dataset.labels)
 
 
 def make_blobs(n_per_class, n_classes, dim, separation, seed) -> Dataset:

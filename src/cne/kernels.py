@@ -1,45 +1,17 @@
-"""Low-dimensional distances and similarity kernels shared by every loss.
+"""The Cauchy similarity kernel of the SNE-style losses.
 
-The Cauchy kernel phi(d) = 1/(d^2+1) serves all SNE-style losses; its
-unnormalized companion phi_tilde = 1/d^2 satisfies
-phi_tilde/(phi_tilde+1) = phi exactly. Temperature losses use
-exp(-dist/tau), i.e. negative Euclidean distance as the similarity score.
+phi(d) = 1/(d^2+1) serves every Cauchy-kernel loss; its unnormalized
+companion phi_tilde = 1/d^2 satisfies phi_tilde/(phi_tilde+1) = phi exactly.
+Squared distances are clamped below EPS_SQ_DIST before any log or division.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CneError
 
-# Squared distances are clamped below this before any log or division.
 EPS_SQ_DIST = 1e-12
-
-KERNEL_KINDS = ("cauchy", "cauchy_unnormalized", "exp_temperature")
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    kind: str = "cauchy"
-    tau: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise CneError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "exp_temperature" and not self.tau > 0:
-            raise CneError("tau must be positive for the temperature kernel")
-
-
-def sq_dist(z_i, z_j) -> float:
-    """Squared Euclidean distance between two embedding vectors."""
-    z_i = np.asarray(z_i, dtype=np.float64)
-    z_j = np.asarray(z_j, dtype=np.float64)
-    if z_i.shape != z_j.shape:
-        raise CneError(f"dimension mismatch: {z_i.shape} vs {z_j.shape}")
-    diff = z_i - z_j
-    return float(np.dot(diff, diff))
 
 
 def cauchy(d_sq):
@@ -56,14 +28,3 @@ def cauchy_unnormalized(d_sq):
     if np.any(d_sq <= 0):
         raise CneError("cauchy_unnormalized requires d^2 > 0 (singular at 0)")
     return 1.0 / d_sq
-
-
-def exp_sim(z_i, z_j, tau: float):
-    """Temperature similarity exp(-||z_i - z_j|| / tau), in (0, 1]."""
-    if not tau > 0:
-        raise CneError("tau must be positive")
-    z_i = np.asarray(z_i, dtype=np.float64)
-    z_j = np.asarray(z_j, dtype=np.float64)
-    if z_i.shape != z_j.shape:
-        raise CneError(f"dimension mismatch: {z_i.shape} vs {z_j.shape}")
-    return float(np.exp(-np.linalg.norm(z_i - z_j) / tau))

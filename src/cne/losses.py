@@ -182,6 +182,12 @@ def _dist(coords, i, j):
     return diff, np.maximum(np.sqrt(np.einsum("bd,bd->b", diff, diff)), 1e-30)
 
 
+def _negatives(batch, rows=slice(None)):
+    """(i, j) of every (anchor, negative) pair of the batch rows `rows`, row
+    by row: each anchor repeated m times, against its m negatives."""
+    return np.repeat(batch.anchors[rows], batch.m), batch.negatives[rows].ravel()
+
+
 def _lse_rows(a):
     mx = a.max(axis=1)
     w = np.exp(a - mx[:, None])
@@ -222,8 +228,7 @@ def _loss_umap(batch, coords, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
     b = len(i)
     diff_p, _, phi_p = _phi(coords, i, j)
-    i_n = np.repeat(i, batch.m)
-    j_n = batch.negatives.ravel()
+    i_n, j_n = _negatives(batch)
     diff_n, s_n, phi_n = _phi(coords, i_n, j_n)
     # 1 - phi = d^2/(d^2+1), computed as s*phi for accuracy near phi=1
     value = -(np.log(phi_p).sum() + np.log(s_n * phi_n).sum()) / b
@@ -236,8 +241,7 @@ def _loss_trimap(batch, coords, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
     b = len(i)
     diff_p, _, u = _phi(coords, i, j)
-    i_n = np.repeat(i, batch.m)
-    j_n = batch.negatives.ravel()
+    i_n, j_n = _negatives(batch)
     diff_n, _, v_flat = _phi(coords, i_n, j_n)
     v = v_flat.reshape(b, batch.m)
     denom = u[:, None] + v
@@ -287,8 +291,7 @@ def _loss_pacmap(batch, coords, spec, w_u, acc):
         diff_m, _, phi_m = _phi(coords, i_m, j_m)
         value += -w_u * (phi_m / (phi_m + 1.0)).sum() / b
         acc.add_sq(i_m, j_m, (w_u / b) * phi_m ** 2 / (phi_m + 1.0) ** 2, diff_m)
-    i_n = np.repeat(i, batch.m)
-    j_n = batch.negatives.ravel()
+    i_n, j_n = _negatives(batch)
     diff_n, _, phi_n = _phi(coords, i_n, j_n)
     g_n = phi_n / (phi_n + 1.0)
     if spec.use_corrected_pacmap:
@@ -305,8 +308,7 @@ def _loss_infonce(batch, coords, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
     b = len(i)
     diff_p, _, u = _phi(coords, i, j)
-    i_n = np.repeat(i, batch.m)
-    j_n = batch.negatives.ravel()
+    i_n, j_n = _negatives(batch)
     diff_n, _, v_flat = _phi(coords, i_n, j_n)
     v_sum = v_flat.reshape(b, batch.m).sum(axis=1)
     total = u + v_sum
@@ -325,8 +327,7 @@ def _loss_sscl(batch, coords, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
     b = len(i)
     diff_p, d_p = _dist(coords, i, j)
-    i_n = np.repeat(i, batch.m)
-    j_n = batch.negatives.ravel()
+    i_n, j_n = _negatives(batch)
     diff_n, d_n_flat = _dist(coords, i_n, j_n)
     a_n = -d_n_flat.reshape(b, batch.m) / tau
     if spec.use_incl_positive:
@@ -355,8 +356,7 @@ def _loss_snn(batch, coords, spec, w_u, acc):
     j_p = batch.positives[rows]
     diff_p, d_p = _dist(coords, i_p, j_p)
     lse_p, soft_p, _ = _segment_lse(-d_p / tau, sizes)
-    i_n = np.repeat(anchors[rows], batch.m)
-    j_n = batch.negatives[rows].ravel()
+    i_n, j_n = _negatives(batch, rows)
     diff_n, d_n = _dist(coords, i_n, j_n)
     lse_n, soft_n, _ = _segment_lse(-d_n / tau, sizes * batch.m)
     value = (-lse_p + lse_n).sum() / n_groups
@@ -388,8 +388,7 @@ def _loss_supcon(batch, coords, spec, w_u, acc):
     bc = len(keep)
     diff_p, d_pj = _dist(coords, i_flat, j_flat)
     inv_sz = 1.0 / sizes[rows]
-    i_n = np.repeat(batch.anchors[keep], batch.m)
-    j_n = batch.negatives[keep].ravel()
+    i_n, j_n = _negatives(batch, keep)
     diff_n, d_n_flat = _dist(coords, i_n, j_n)
     d_n = d_n_flat.reshape(bc, batch.m)
     if spec.use_incl_positive:
@@ -401,7 +400,7 @@ def _loss_supcon(batch, coords, spec, w_u, acc):
         acc.add_dist(i_flat, j_flat, (1.0 - soft[:, 0]) * inv_sz / (tau * bc), diff_p, d_pj)
         coef_n = -(soft[:, 1:] * inv_sz[:, None]) / (tau * bc)
         d = coords.shape[1]
-        acc.add_dist(np.repeat(i_flat, batch.m), batch.negatives[rows].ravel(), coef_n.ravel(),
+        acc.add_dist(*_negatives(batch, rows), coef_n.ravel(),
                      diff_n.reshape(bc, batch.m, d)[pos_in_keep].reshape(-1, d),
                      d_n[pos_in_keep].ravel())
     else:
@@ -421,8 +420,7 @@ def _loss_sup_snn(batch, coords, spec, w_u, acc):
     bc = len(keep)
     diff_p, d_pj = _dist(coords, i_flat, j_flat)
     lse_p, soft_p, _ = _segment_lse(-d_pj / tau, sizes[keep])
-    i_n = np.repeat(batch.anchors[keep], batch.m)
-    j_n = batch.negatives[keep].ravel()
+    i_n, j_n = _negatives(batch, keep)
     diff_n, d_n = _dist(coords, i_n, j_n)
     lse_n, soft_n = _lse_rows(-d_n.reshape(bc, batch.m) / tau)
     # -log( (1/|P|) sum e_p / sum e_n )
@@ -441,8 +439,7 @@ def _loss_tscne(batch, coords, spec, w_u, acc):
     anchors = batch.anchors
     diff_p, _, u = _phi(coords, i_flat, j_flat)
     inv_sz = 1.0 / sizes[rows]
-    i_n = np.repeat(anchors[keep], batch.m)
-    j_n = batch.negatives[keep].ravel()
+    i_n, j_n = _negatives(batch, keep)
     diff_n, _, phi_n = _phi(coords, i_n, j_n)
     v = phi_n.reshape(bc, batch.m).sum(axis=1)
     v_rows = v[np.searchsorted(keep, rows)]

@@ -54,10 +54,6 @@ class NeighborGraph:
     def degrees(self):
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
-    def edge_list_text(self) -> str:
-        """Edge list export: one 'i,j' line per edge, i<j, lexicographic order."""
-        return "".join(f"{i},{j}\n" for i, j in self.edges)
-
 
 def row_blocks(n: int, row_bytes: int):
     """Consecutive slices covering range(n), each of at most

@@ -1,8 +1,8 @@
-"""Training loops: non-parametric (coordinates are the parameters) and
+"""Training: non-parametric (coordinates are the parameters) and
 parametric (a small MLP encoder maps inputs to embeddings).
 
-Both use plain SGD with momentum and a constant learning rate; with
-momentum 0 one step moves the parameters by exactly -lr * gradient.
+Both run one loop, plain SGD with momentum and a constant learning rate;
+with momentum 0 one step moves the parameters by exactly -lr * gradient.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, Embedding
-from .errors import CneError, DivergenceError
+from .errors import CneError, DivergenceError, LossNumericsError
 from .losses import MIDNEAR_KINDS, LossSpec, evaluate
 from .neighbor_graph import NeighborGraph
 from .sampling import DEFAULT_BATCH_SIZE, Sampler
@@ -79,55 +79,59 @@ def pca_init(points, d: int, scale: float = PCA_INIT_SCALE):
     return z * (scale / sd)
 
 
-def _make_sampler(data, graph, spec, cfg) -> Sampler:
-    return Sampler(
-        graph=graph,
-        data=data,
-        batch_size=cfg.batch_size,
-        m=spec.m,
-        seed=cfg.seed,
-        need_midnears=spec.kind in MIDNEAR_KINDS,
-        need_labels=spec.supervised,
-    )
+def _sgd(data, graph, spec, cfg, params, what, forward):
+    """The training loop of both modes: SGD with momentum on the arrays
+    `params`, updated in place. Returns the training log.
 
-
-def _check_supervised(data, spec):
+    forward(batch) returns (batch, coords, backward): the batch in the row
+    space of `coords`, the coordinates the loss sees, and a function from the
+    clipped loss gradient on those coordinates to one gradient per array of
+    `params`.
+    """
     if spec.supervised:
         if data.labels is None:
             raise CneError(f"loss {spec.kind!r} requires labels")
         if len(np.unique(data.labels)) < 2:
             raise CneError(f"loss {spec.kind!r} requires at least two classes")
-
-
-def fit_nonparametric(data: Dataset, graph: NeighborGraph, spec: LossSpec,
-                      cfg: OptimConfig):
-    """Optimize free embedding coordinates; returns (Embedding, training log)."""
-    _check_supervised(data, spec)
-    coords = pca_init(data.points, cfg.embedding_dim)
-    velocity = np.zeros_like(coords)
-    sampler = _make_sampler(data, graph, spec, cfg)
+    sampler = Sampler(graph=graph, data=data, batch_size=cfg.batch_size, m=spec.m,
+                      seed=cfg.seed, need_midnears=spec.kind in MIDNEAR_KINDS,
+                      need_labels=spec.supervised)
+    velocity = [np.zeros_like(p) for p in params]
     steps = max(1, -(-graph.n_edges // cfg.batch_size))
     log = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         epoch_loss = 0.0
         for step in range(steps):
-            batch = sampler.next_batch()
-            lg = evaluate(spec, batch, coords, epoch, cfg.epochs)
+            batch, coords, backward = forward(sampler.next_batch())
+            try:
+                lg = evaluate(spec, batch, coords, epoch, cfg.epochs)
+            except LossNumericsError as exc:
+                raise DivergenceError(epoch, step, what=f"{spec.kind} loss") from exc
             epoch_loss += lg.value
-            grad = lg.grad
             if cfg.grad_clip > 0:
-                np.clip(grad, -cfg.grad_clip, cfg.grad_clip, out=grad)
-            velocity = cfg.momentum * velocity - cfg.learning_rate * grad
-            coords = coords + velocity
-            if not np.all(np.isfinite(coords)):
-                raise DivergenceError(epoch, step)
+                np.clip(lg.grad, -cfg.grad_clip, cfg.grad_clip, out=lg.grad)
+            for p, v, g in zip(params, velocity, backward(lg.grad)):
+                v *= cfg.momentum
+                v -= cfg.learning_rate * g
+                p += v
+            if not all(np.all(np.isfinite(p)) for p in params):
+                raise DivergenceError(epoch, step, what)
         log.append({
             "epoch": epoch,
             "mean_loss": epoch_loss / steps,
             "wall_ms": (time.perf_counter() - t0) * 1e3,
             "w_u": spec.schedule.w_u(epoch, cfg.epochs),
         })
+    return log
+
+
+def fit_nonparametric(data: Dataset, graph: NeighborGraph, spec: LossSpec,
+                      cfg: OptimConfig):
+    """Optimize free embedding coordinates; returns (Embedding, training log)."""
+    coords = pca_init(data.points, cfg.embedding_dim)
+    log = _sgd(data, graph, spec, cfg, [coords], "coordinates",
+               lambda batch: (batch, coords, lambda grad: [grad]))
     return Embedding(coords), log
 
 
@@ -155,24 +159,20 @@ class Encoder:
         return self.sizes[-1]
 
     def forward(self, x):
-        h = np.asarray(x, dtype=np.float64)
-        last = len(self.weights) - 1
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T + b
-            if layer < last:
-                h = np.maximum(h, 0.0)
-        return h
+        return self._layers(x)[-1]
 
     def forward_cached(self, x):
-        h = np.asarray(x, dtype=np.float64)
-        cache = [h]
+        cache = self._layers(x)
+        return cache[-1], cache
+
+    def _layers(self, x):
+        """[input, each layer's output]; the last entry is the embedding."""
+        h = [np.asarray(x, dtype=np.float64)]
         last = len(self.weights) - 1
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T + b
-            if layer < last:
-                h = np.maximum(h, 0.0)
-            cache.append(h)
-        return h, cache
+            out = h[-1] @ w.T + b
+            h.append(np.maximum(out, 0.0) if layer < last else out)
+        return h
 
     def backward(self, cache, d_out):
         """Gradients of a scalar loss w.r.t. weights and biases, given the
@@ -221,41 +221,19 @@ class Encoder:
 def fit_parametric(data: Dataset, graph: NeighborGraph, spec: LossSpec,
                    cfg: OptimConfig):
     """Train an encoder end to end; returns (Encoder, Embedding, training log)."""
-    _check_supervised(data, spec)
     enc = Encoder(data.dim, cfg.embedding_dim, seed=cfg.seed)
-    vel_w = [np.zeros_like(w) for w in enc.weights]
-    vel_b = [np.zeros_like(b) for b in enc.biases]
-    sampler = _make_sampler(data, graph, spec, cfg)
-    steps = max(1, -(-graph.n_edges // cfg.batch_size))
-    log = []
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        epoch_loss = 0.0
-        for step in range(steps):
-            batch = sampler.next_batch()
-            uniq = batch.all_indices()
-            z, cache = enc.forward_cached(data.points[uniq])
-            # Evaluate in the batch's compact row space: row r of z is sample uniq[r].
-            lg = evaluate(spec, batch.remap(uniq), z, epoch, cfg.epochs)
-            epoch_loss += lg.value
-            dz = lg.grad
-            if cfg.grad_clip > 0:
-                np.clip(dz, -cfg.grad_clip, cfg.grad_clip, out=dz)
+
+    def forward(batch):
+        # Evaluate in the batch's compact row space: row r of z is sample uniq[r].
+        uniq = batch.all_indices()
+        z, cache = enc.forward_cached(data.points[uniq])
+
+        def backward(dz):
             grads_w, grads_b = enc.backward(cache, dz)
-            for layer in range(len(enc.weights)):
-                vel_w[layer] = cfg.momentum * vel_w[layer] - cfg.learning_rate * grads_w[layer]
-                vel_b[layer] = cfg.momentum * vel_b[layer] - cfg.learning_rate * grads_b[layer]
-                enc.weights[layer] = enc.weights[layer] + vel_w[layer]
-                enc.biases[layer] = enc.biases[layer] + vel_b[layer]
-                if not (np.all(np.isfinite(enc.weights[layer]))
-                        and np.all(np.isfinite(enc.biases[layer]))):
-                    raise DivergenceError(epoch, step, what="weights")
-        log.append({
-            "epoch": epoch,
-            "mean_loss": epoch_loss / steps,
-            "wall_ms": (time.perf_counter() - t0) * 1e3,
-            "w_u": spec.schedule.w_u(epoch, cfg.epochs),
-        })
+            return grads_w + grads_b
+        return batch.remap(uniq), z, backward
+
+    log = _sgd(data, graph, spec, cfg, enc.weights + enc.biases, "weights", forward)
     return enc, Embedding(enc.forward(data.points)), log
 
 

@@ -154,23 +154,6 @@ def sample_edge_batch(graph: NeighborGraph, batch_size: int, m: int, rng) -> Pai
     return PairBatch(anchors=anchors, positives=positives, negatives=negatives)
 
 
-def sample_midnear(data: Dataset, anchor: int, rng, pool: int = DEFAULT_MIDNEAR_POOL) -> int:
-    """Second-nearest (to the anchor, in input space) of `pool` distinct
-    uniformly drawn non-anchor candidates."""
-    n = data.n
-    if pool < 2:
-        raise SamplingError("pool must be >= 2")
-    if n <= pool:
-        raise SamplingError(f"need N > pool, got N={n}, pool={pool}")
-    raw = rng.choice(n - 1, size=pool, replace=False)
-    cand = raw + (raw >= anchor)
-    cand = np.sort(cand)  # ascending index so stable sort breaks distance ties low
-    diff = data.points[cand] - data.points[anchor]
-    d2 = np.einsum("pd,pd->p", diff, diff)
-    order = np.argsort(d2, kind="stable")
-    return int(cand[order[1]])
-
-
 def sample_midnears(data: Dataset, anchors, rng, pool: int = DEFAULT_MIDNEAR_POOL,
                     n_mid: int = DEFAULT_N_MID):
     """Vectorized mid-near sampling: n_mid independent draws per anchor,
@@ -197,19 +180,6 @@ def sample_midnears(data: Dataset, anchors, rng, pool: int = DEFAULT_MIDNEAR_POO
     order = np.argsort(d2, axis=1, kind="stable")
     second = cand[np.arange(b * n_mid), order[:, 1]]
     return second.reshape(b, n_mid)
-
-
-def label_positive_set(labels, batch, anchor: int):
-    """Positions in `batch` sharing the label of batch[anchor], excluding anchor.
-
-    `batch` holds dataset indices; `anchor` is a position into `batch`.
-    """
-    if labels is None:
-        raise SamplingError("label_positive_set requires labels")
-    batch = np.asarray(batch)
-    lbl = labels[batch[anchor]]
-    same = np.nonzero(labels[batch] == lbl)[0]
-    return same[same != anchor]
 
 
 def _distinct_draws(high, k, rng):

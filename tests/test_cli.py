@@ -260,6 +260,20 @@ def test_plot_from_embedding_csv(tmp_path, capsys):
     assert svg.read_text().count("<circle") == 120
 
 
+def test_plot_label_column_by_index(tmp_path, capsys):
+    # As in embed, a digit string selects the label column by index.
+    out = tmp_path / "run"
+    assert run(["embed", "--data", BLOBS, "--loss", "umap",
+                "--out", str(out), *FAST]) == 0
+    svgs = []
+    for label in ("label", "3"):
+        svg = tmp_path / f"{label}.svg"
+        assert run(["plot", "--data", str(out / "embedding.csv"), "--label-column", label,
+                    "--skip-id-column", "--out", str(svg)]) == 0
+        svgs.append(svg.read_bytes())
+    assert svgs[0] == svgs[1]
+
+
 def test_default_embed_config_is_unchanged(tmp_path, capsys):
     out = tmp_path / "run"
     assert run(["embed", "--data", BLOBS, "--out", str(out)]) == 0
@@ -323,7 +337,9 @@ def test_config_file_label_column(tmp_path, capsys):
     (["embed", "--data", BLOBS], "[run]\nmode = quantum\n"),
     (["bench", "--data", BLOBS, "--losses", "umap", "--seeds", "a"], None),
     (["gradcheck", "--m", "0"], None),
-], ids=["m0", "tau0", "batch0", "dim0", "ini-k", "ini-mode", "seeds", "gradcheck-m0"])
+    (["bench", "--data", BLOBS, "--losses", "umap", "--m", "0"], None),
+], ids=["m0", "tau0", "batch0", "dim0", "ini-k", "ini-mode", "seeds", "gradcheck-m0",
+        "bench-m0"])
 def test_degenerate_settings_exit_with_a_message(tmp_path, capsys, argv, ini):
     if ini is not None:
         cfgfile = tmp_path / "run.ini"

@@ -11,7 +11,6 @@ def test_dataset_basic_construction():
     ds = Dataset(points=np.zeros((3, 2)))
     assert ds.n == 3 and ds.dim == 2
     assert ds.labels is None
-    assert list(ds.ids) == [0, 1, 2]
 
 
 def test_dataset_rejects_nonfinite():

@@ -1,26 +1,9 @@
-"""Distance and similarity kernels shared by every loss."""
+"""The Cauchy kernel of the SNE-style losses and its unnormalized companion."""
 
 import numpy as np
 import pytest
 
-from cne import CneError, KernelSpec, cauchy, cauchy_unnormalized, exp_sim, sq_dist
-
-
-def test_sq_dist_basics():
-    assert sq_dist(np.array([0.0, 0.0]), np.array([0.0, 0.0])) == 0.0
-    assert sq_dist(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 25.0
-
-
-def test_sq_dist_symmetric():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        a, b = rng.normal(size=(2, 5))
-        assert sq_dist(a, b) == sq_dist(b, a)
-
-
-def test_sq_dist_dimension_mismatch():
-    with pytest.raises(CneError):
-        sq_dist(np.zeros(2), np.zeros(3))
+from cne import CneError, cauchy, cauchy_unnormalized
 
 
 def test_cauchy_values():
@@ -61,29 +44,6 @@ def test_unnormalized_identity_1000_points():
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * rhs)
 
 
-def test_exp_sim_values():
-    z = np.array([1.0, 2.0])
-    assert exp_sim(z, z, 0.5) == 1.0
-    # distance equal to the temperature gives exp(-1)
-    a = np.array([0.0, 0.0])
-    b = np.array([0.3, 0.4])
-    assert exp_sim(a, b, 0.5) == pytest.approx(np.exp(-1.0), rel=1e-15)
-
-
-def test_exp_sim_monotone():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=3)
-    base = rng.normal(size=3)
-    d1 = base
-    d2 = a + 2.0 * (base - a)  # same direction, twice the distance
-    assert exp_sim(a, d2, 0.7) < exp_sim(a, d1, 0.7)
-
-
-def test_exp_sim_requires_positive_tau():
-    with pytest.raises(CneError):
-        exp_sim(np.zeros(2), np.ones(2), 0.0)
-
-
 def test_cauchy_derivative_finite_difference():
     # d/d(d_sq) of 1/(d_sq+1) is -1/(d_sq+1)^2.
     rng = np.random.default_rng(2)
@@ -92,12 +52,3 @@ def test_cauchy_derivative_finite_difference():
         numeric = (cauchy(d_sq + h) - cauchy(d_sq - h)) / (2.0 * h)
         analytic = -1.0 / (d_sq + 1.0) ** 2
         assert abs(numeric - analytic) < 1e-6 * abs(analytic)
-
-
-def test_kernel_spec_validation():
-    KernelSpec(kind="cauchy")
-    KernelSpec(kind="exp_temperature", tau=0.5)
-    with pytest.raises(CneError):
-        KernelSpec(kind="exp_temperature", tau=0.0)
-    with pytest.raises(CneError):
-        KernelSpec(kind="sombrero")

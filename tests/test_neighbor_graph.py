@@ -130,8 +130,3 @@ def test_affinity_sums_to_one():
     total = sum(affinity(g, i, j) for i in range(30) for j in range(30) if i != j)
     # Each undirected edge is visited twice in the ordered double loop.
     assert abs(total / 2.0 - 1.0) < 1e-12
-
-
-def test_edge_list_text_format():
-    g = knn_graph(Dataset(points=np.array([[0.0], [1.0], [10.0]])), k=1)
-    assert g.edge_list_text() == "0,1\n1,2\n"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cne import (
-    CneError, Dataset, Encoder, LossSpec, OptimConfig, default_spec,
-    fit_nonparametric, fit_parametric, knn_accuracy, knn_graph, make_blobs,
-    random_batch, transform,
+    CneError, Dataset, DivergenceError, Encoder, LossNumericsError, LossSpec, OptimConfig,
+    default_spec, fit_nonparametric, fit_parametric, knn_accuracy, knn_graph, make_blobs,
+    transform,
 )
 from cne.losses import evaluate
 from cne.optimize import pca_init
@@ -73,6 +73,26 @@ def test_momentum_zero_single_exact_step():
     assert np.array_equal(emb.coords, expect)
 
 
+def test_momentum_steps_match_replay():
+    # Three steps with momentum, replayed with v <- momentum * v - lr * g and
+    # z <- z + v on fresh arrays.
+    from cne.sampling import Sampler
+    ds = small_blobs()
+    g = knn_graph(ds, k=5)
+    spec = LossSpec(kind="umap", m=3)
+    cfg = OptimConfig(epochs=3, learning_rate=0.5, momentum=0.8, batch_size=g.n_edges,
+                      seed=4, grad_clip=0.01)
+    emb, _ = fit_nonparametric(ds, g, spec, cfg)
+    coords = pca_init(ds.points, 2)
+    velocity = np.zeros_like(coords)
+    sampler = Sampler(graph=g, data=ds, batch_size=g.n_edges, m=3, seed=4)
+    for epoch in range(3):
+        grad = np.clip(evaluate(spec, sampler.next_batch(), coords, epoch, 3).grad, -0.01, 0.01)
+        velocity = 0.8 * velocity - 0.5 * grad
+        coords = coords + velocity
+    assert np.array_equal(emb.coords, coords)
+
+
 def test_grad_clip_bounds_step():
     ds = small_blobs()
     g = knn_graph(ds, k=5)
@@ -109,6 +129,18 @@ def test_supervised_loss_requires_labels():
     g = knn_graph(ds, k=5)
     with pytest.raises(CneError):
         fit_nonparametric(ds, g, LossSpec(kind="supcon"), OptimConfig(epochs=1))
+
+
+def test_parametric_supervised_divergence_is_reported():
+    # On 600 x 10 blobs the encoder's output overflows within a few epochs at
+    # the parametric defaults, while the weights stay finite: the loss is
+    # the first non-finite quantity, and the run reports divergence.
+    ds = make_blobs(200, 3, 10, 20.0, 0)
+    g = knn_graph(ds, k=15)
+    cfg = OptimConfig(epochs=10, learning_rate=0.01, mode="parametric")
+    with pytest.raises(DivergenceError, match="non-finite supcon loss at epoch") as info:
+        fit_parametric(ds, g, default_spec("supcon"), cfg)
+    assert isinstance(info.value.__cause__, LossNumericsError)
 
 
 def test_encoder_forward_shapes():

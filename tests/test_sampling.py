@@ -7,10 +7,41 @@ from hypothesis import given, settings, strategies as st
 
 from cne import (
     Dataset, PairBatch, Sampler, SamplingError, ScheduleSpec, knn_graph,
-    label_positive_set, sample_edge_batch, sample_midnear, sample_midnears,
+    sample_edge_batch, sample_midnears,
 )
 from cne.neighbor_graph import NeighborGraph
 from cne.sampling import LabelPositives, attach_label_positives
+
+
+def sample_midnear(data, anchor, rng, pool=6):
+    """Scalar oracle of sample_midnears: the second-nearest (to the anchor,
+    in input space) of `pool` distinct uniformly drawn non-anchor
+    candidates."""
+    n = data.n
+    if pool < 2:
+        raise SamplingError("pool must be >= 2")
+    if n <= pool:
+        raise SamplingError(f"need N > pool, got N={n}, pool={pool}")
+    raw = rng.choice(n - 1, size=pool, replace=False)
+    cand = raw + (raw >= anchor)
+    cand = np.sort(cand)  # ascending index so stable sort breaks distance ties low
+    diff = data.points[cand] - data.points[anchor]
+    d2 = np.einsum("pd,pd->p", diff, diff)
+    order = np.argsort(d2, kind="stable")
+    return int(cand[order[1]])
+
+
+def label_positive_set(labels, batch, anchor: int):
+    """Positions in `batch` sharing the label of batch[anchor], excluding anchor.
+
+    `batch` holds dataset indices; `anchor` is a position into `batch`.
+    """
+    if labels is None:
+        raise SamplingError("label_positive_set requires labels")
+    batch = np.asarray(batch)
+    lbl = labels[batch[anchor]]
+    same = np.nonzero(labels[batch] == lbl)[0]
+    return same[same != anchor]
 
 
 def two_point_graph():
@@ -73,6 +104,8 @@ def test_midnear_pool_of_two_returns_farther():
     for _ in range(50):
         idx = sample_midnear(ds, anchor=0, rng=rng, pool=2)
         assert idx != 0
+    mids = sample_midnears(ds, np.zeros(50, dtype=np.int64), rng, pool=2)
+    assert (mids != 0).all()
 
 
 def test_midnear_second_nearest_of_pool():
@@ -90,12 +123,16 @@ def test_midnear_second_nearest_of_pool():
     # With pool=3 of 3 candidates the draw is always {1,2,3}; the
     # second-nearest to 0.0 is value 2.0 at index 2.
     assert seen == {2}
+    mids = sample_midnears(ds, np.zeros(200, dtype=np.int64), rng, pool=3)
+    assert set(mids.ravel().tolist()) == {2}
 
 
 def test_midnear_requires_enough_samples():
     ds = Dataset(points=np.zeros((5, 1)))
     with pytest.raises(SamplingError):
         sample_midnear(ds, anchor=0, rng=np.random.default_rng(0), pool=6)
+    with pytest.raises(SamplingError):
+        sample_midnears(ds, np.array([0]), np.random.default_rng(0), pool=6)
 
 
 def test_midnears_vectorized_matches_definition():
@@ -105,6 +142,18 @@ def test_midnears_vectorized_matches_definition():
     mids = sample_midnears(ds, anchors, rng, pool=6, n_mid=2)
     assert mids.shape == (64, 2)
     assert (mids != anchors[:, None]).all()
+    # Anchor 0 with five others at distances 1..5 and pools of 3: the
+    # second-nearest has rank r with probability (r - 1)(5 - r) / 10, for
+    # the scalar oracle and the vectorized sampler alike.
+    ds = Dataset(points=np.arange(6.0)[:, None])
+    expect = np.array([0, 0, 0.3, 0.4, 0.3, 0])
+    draws = 4000
+    oracle = [sample_midnear(ds, anchor=0, rng=rng, pool=3) for _ in range(draws)]
+    vector = sample_midnears(ds, np.zeros(draws // 2, dtype=np.int64), rng, pool=3)
+    sigma = np.sqrt(expect * (1 - expect) / draws)
+    for got in (oracle, vector.ravel()):
+        freq = np.bincount(got, minlength=6) / draws
+        assert np.all(np.abs(freq - expect) <= 5 * sigma)
 
 
 def test_label_positive_set():
