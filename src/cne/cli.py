@@ -216,9 +216,9 @@ def _write_embedding_csv(path, emb, labels):
             writer.writerow(row)
 
 
-def run_embed(cfg: dict) -> dict:
-    """One full training run; returns the quality report dict."""
-    ds = _load_dataset(cfg)
+def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
+    """One full training run on `ds` and its kNN graph (read-only, so they
+    may be shared); returns the quality report dict."""
     spec, optim = _specs(cfg)
     if spec.kind in SUPERVISED_KINDS:
         if ds.labels is None:
@@ -228,7 +228,6 @@ def run_embed(cfg: dict) -> dict:
     out = Path(cfg.get("out") or "out")
     out.mkdir(parents=True, exist_ok=True)
 
-    graph = knn_graph(ds, k=cfg["k"])
     if optim.mode == "parametric":
         encoder, emb, log = fit_parametric(ds, graph, spec, optim)
         encoder.save(out / "encoder.bin")
@@ -244,7 +243,7 @@ def run_embed(cfg: dict) -> dict:
     resolved["optim"] = optim.to_dict()
     with open(out / "config.json", "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
-    report = quality_report(ds, emb)
+    report = quality_report(ds, emb, input_neighbors=graph.neighbors)
     with open(out / "quality.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
     if cfg.get("plot"):
@@ -265,15 +264,17 @@ def cmd_gen(args) -> int:
 def cmd_embed(args) -> int:
     config = _load_config_file(args.config) if args.config else {}
     cfg = _resolve(args, config)
-    report = run_embed(cfg)
+    _specs(cfg)  # an invalid setting fails before the data is read
+    ds = _load_dataset(cfg)
+    report = run_embed(cfg, ds, knn_graph(ds, k=cfg["k"]))
     printable = {k: v for k, v in report.items() if v is not None}
     print(json.dumps(printable, sort_keys=True))
     return EXIT_OK
 
 
-def _bench_one(cfg):
+def _bench_one(cfg, ds, graph):
     try:
-        report = run_embed(cfg)
+        report = run_embed(cfg, ds, graph)
         return {"loss": cfg["loss"], "seed": cfg["seed"], "status": "ok", **report}
     except Exception as exc:  # recorded per row, not fatal for the grid
         return {"loss": cfg["loss"], "seed": cfg["seed"], "status": f"error: {exc}"}
@@ -302,12 +303,15 @@ def cmd_bench(args) -> int:
             cfg["seed"] = seed
             cfg["out"] = str(out / f"{loss}_seed{seed}")
             grid.append(cfg)
+    # No per-loss setting changes the data or the graph.
+    ds = _load_dataset(base)
+    graph = knn_graph(ds, k=base["k"])
     out.mkdir(parents=True, exist_ok=True)
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_one, grid))
+            rows = list(pool.map(lambda cfg: _bench_one(cfg, ds, graph), grid))
     else:
-        rows = [_bench_one(cfg) for cfg in grid]
+        rows = [_bench_one(cfg, ds, graph) for cfg in grid]
 
     metric_keys = ("knn_recall", "knn_accuracy", "silhouette")
     summary = {}

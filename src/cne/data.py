@@ -56,8 +56,8 @@ class Embedding:
 
     def __init__(self, coords):
         coords = np.ascontiguousarray(coords, dtype=np.float64)
-        if coords.ndim != 2:
-            raise DataError(f"coords must be a 2-D array, got shape {coords.shape}")
+        if coords.ndim != 2 or coords.shape[1] < 1:
+            raise DataError(f"coords must be a 2-D array of >= 1 column, got shape {coords.shape}")
         if not np.all(np.isfinite(coords)):
             raise DataError("embedding coordinates contain non-finite values")
         self.coords = coords
@@ -141,13 +141,16 @@ def load_csv(path, label_column=None) -> Dataset:
     for r, row in enumerate(rows):
         if len(row) != width:
             raise DataError(f"row {r}: expected {width} cells, got {len(row)} (ragged file)")
-        vals = []
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                raw_labels.append(cell.strip())
-            else:
-                name = header[c] if header else c
-                vals.append(_parse_cell(cell.strip(), r, name))
+        cells = list(row)
+        if label_idx is not None:
+            raw_labels.append(cells.pop(label_idx).strip())
+        try:
+            vals = list(map(float, cells))
+            if not math.isfinite(sum(vals)):  # a non-finite cell, or an overflowing sum
+                raise ValueError
+        except ValueError:  # report the row's first bad cell, if any
+            vals = [_parse_cell(cell.strip(), r, header[c] if header else c)
+                    for c, cell in enumerate(row) if c != label_idx]
         points.append(vals)
 
     if len(points) < 2:

@@ -514,8 +514,9 @@ def evaluate(spec: LossSpec, batch: PairBatch, coords, epoch: int = 0,
             raise LossNumericsError(f"label-positive positions outside 0..{b - 1}")
     w_u = spec.schedule.w_u(epoch, n_epochs) if spec.kind in MIDNEAR_KINDS else 0.0
     acc = _Accumulator(coords)
-    value, skipped = _LOSS_FUNCS[spec.kind](batch, coords, spec, w_u, acc)
-    grad, touched = acc.result()
+    with np.errstate(all="ignore"):  # overflow is reported below, not warned about
+        value, skipped = _LOSS_FUNCS[spec.kind](batch, coords, spec, w_u, acc)
+        grad, touched = acc.result()
     if not np.isfinite(value):
         raise LossNumericsError(f"loss {spec.kind!r} produced non-finite value")
     if not np.all(np.isfinite(grad)):

@@ -1,7 +1,7 @@
 """Embedding quality measures: kNN recall, leave-one-out kNN accuracy, and
-the mean silhouette coefficient. All exact; the neighbor searches are
-:func:`~cne.neighbor_graph.knn_indices`, and every metric runs in row blocks
-of bounded memory."""
+the mean silhouette coefficient. All exact, in row blocks of bounded memory;
+the neighbor searches are :func:`~cne.neighbor_graph.knn_indices` or
+prefixes of ones passed in, and silhouette sums one coordinate at a time."""
 
 from __future__ import annotations
 
@@ -29,20 +29,27 @@ class QualityReport:
         return asdict(self)
 
 
+def _first_columns(points, k: int, known):
+    """knn_indices(points, k): the prefix of `known`, such a search for a larger k, if given."""
+    if known is not None and known.shape[0] != points.shape[0]:
+        raise CneError(f"neighbor array has {known.shape[0]} rows for {points.shape[0]} points")
+    if known is None or not 1 <= k <= known.shape[1]:
+        return knn_indices(points, k)
+    return known[:, :k]
+
+
 def knn_recall(data: Dataset, emb: Embedding, k: int = DEFAULT_K_RECALL, *,
-               neighbors=None) -> float:
+               neighbors=None, input_neighbors=None) -> float:
     """Mean fraction of high-dimensional k-neighbors preserved in the embedding.
 
-    `neighbors` may pass the embedding's :func:`knn_indices` for any k' >= k;
-    its first k columns are used.
+    `neighbors` and `input_neighbors` may pass :func:`knn_indices` of the
+    embedding and of the data (``NeighborGraph.neighbors``) for any k' >= k.
     """
     n = data.n
-    if not 1 <= k <= n - 1:
-        raise CneError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
     if emb.n != n:
         raise CneError("embedding row count does not match dataset")
-    high = knn_indices(data.points, k)
-    low = knn_indices(emb.coords, k) if neighbors is None else neighbors[:, :k]
+    high = _first_columns(data.points, k, input_neighbors)
+    low = _first_columns(emb.coords, k, neighbors)
     # Offsetting row i by i*N makes every (row, neighbor) pair one unique code.
     offsets = np.arange(n)[:, None] * n
     hits = np.intersect1d(high + offsets, low + offsets, assume_unique=True).size
@@ -60,12 +67,10 @@ def knn_accuracy(labels, emb: Embedding, k: int = DEFAULT_K_ACCURACY, *,
         raise CneError("knn_accuracy requires labels")
     labels = np.asarray(labels)
     n = emb.n
-    if not 1 <= k <= n - 1:
-        raise CneError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
     classes, dense = np.unique(labels, return_inverse=True)
     if len(classes) < 2:
         raise CneError("knn_accuracy is degenerate with a single class")
-    nbrs = knn_indices(emb.coords, k) if neighbors is None else neighbors[:, :k]
+    nbrs = _first_columns(emb.coords, k, neighbors)
     c = len(classes)
     codes = np.arange(n)[:, None] * c + dense[nbrs]
     votes = np.bincount(codes.ravel(), minlength=n * c).reshape(n, c)
@@ -77,9 +82,8 @@ def knn_accuracy(labels, emb: Embedding, k: int = DEFAULT_K_ACCURACY, *,
 def silhouette(labels, emb: Embedding) -> float:
     """Mean silhouette coefficient with Euclidean embedding distances.
 
-    Computed in row blocks against the columns grouped by class, so memory
-    stays O(BLOCK_BYTES) instead of the N x N x d difference tensor.
-    """
+    Row blocks against a coordinate-major copy grouped by class: (x_0-g_0)^2,
+    then += (x_c-g_c)^2 per later c, in two buffers allocated once."""
     if labels is None:
         raise CneError("silhouette requires labels")
     labels = np.asarray(labels)
@@ -88,16 +92,23 @@ def silhouette(labels, emb: Embedding) -> float:
         raise CneError("silhouette requires at least 2 classes")
     if counts.min() < 2:
         raise CneError("silhouette requires every class to have size >= 2")
-    x = emb.coords
-    n = emb.n
+    x, n = emb.coords, emb.n
     # Columns grouped by class, in index order within a class: each class's
     # distances are summed in the order of a boolean-mask selection.
-    grouped = x[np.argsort(dense, kind="stable")]
+    grouped = np.ascontiguousarray(x[np.argsort(dense, kind="stable")].T)
     bounds = np.concatenate(([0], np.cumsum(counts)))
     terms = np.empty(n)
-    for block in row_blocks(n, 8 * n * (emb.d + 1)):
-        diff = x[block, None, :] - grouped[None, :, :]
-        dist = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
+    blocks = list(row_blocks(n, 16 * n))
+    dist_buf, dc_buf = np.empty((2, blocks[0].stop, n))
+    for block in blocks:
+        xb = x[block]
+        dist = np.subtract(xb[:, 0, None], grouped[0], out=dist_buf[:len(xb)])
+        dist *= dist
+        for c in range(1, emb.d):
+            dc = np.subtract(xb[:, c, None], grouped[c], out=dc_buf[:len(xb)])
+            dc *= dc
+            dist += dc
+        np.sqrt(dist, out=dist)
         sums = np.stack([dist[:, lo:hi].sum(axis=1)
                          for lo, hi in zip(bounds[:-1], bounds[1:])], axis=1)
         own = dense[block]
@@ -115,7 +126,7 @@ def silhouette(labels, emb: Embedding) -> float:
 
 
 def quality_report(data: Dataset, emb: Embedding, k_recall: int = DEFAULT_K_RECALL,
-                   k_accuracy: int = DEFAULT_K_ACCURACY) -> QualityReport:
+                   k_accuracy: int = DEFAULT_K_ACCURACY, *, input_neighbors=None) -> QualityReport:
     """All metrics computable for the given data; label metrics only when
     labels permit them.
 
@@ -129,7 +140,8 @@ def quality_report(data: Dataset, emb: Embedding, k_recall: int = DEFAULT_K_RECA
     labeled = data.labels is not None and len(np.unique(data.labels)) >= 2
     neighbors = knn_indices(emb.coords, max(k_recall, k_accuracy) if labeled else k_recall)
     report = QualityReport(k_recall=k_recall)
-    report.knn_recall = knn_recall(data, emb, k_recall, neighbors=neighbors)
+    report.knn_recall = knn_recall(data, emb, k_recall, neighbors=neighbors,
+                                   input_neighbors=input_neighbors)
     if labeled:
         report.knn_accuracy = knn_accuracy(data.labels, emb, k_accuracy, neighbors=neighbors)
         report.k_accuracy = k_accuracy

@@ -28,13 +28,15 @@ class NeighborGraph:
 
     Edges are stored once as (i, j) with i < j, in ascending lexicographic
     order. Symmetrization is by union, so every node has degree >= k.
+    `neighbors` is the read-only N x k :func:`knn_indices` search behind them.
     """
 
-    def __init__(self, edges, k: int, n: int):
+    def __init__(self, edges, k: int, n: int, neighbors=None):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.edges = edges
         self.k = k
         self.n = n
+        self.neighbors = neighbors
         self._codes = np.sort(edges[:, 0] * n + edges[:, 1])
         edges.setflags(write=False)
 
@@ -56,8 +58,7 @@ class NeighborGraph:
 
 
 def row_blocks(n: int, row_bytes: int):
-    """Consecutive slices covering range(n), each of at most
-    BLOCK_BYTES // row_bytes rows (at least one)."""
+    """Consecutive slices covering range(n), of max(1, BLOCK_BYTES // row_bytes) rows."""
     step = max(1, BLOCK_BYTES // row_bytes)
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
@@ -71,8 +72,8 @@ def knn_indices(points, k: int):
     that difference form, with ties toward the smaller index.
 
     Per block of rows, GEMM distances on a mean-centred copy screen the
-    candidates; only those are recomputed exactly and sorted. Memory is
-    O(BLOCK_BYTES) beyond the input and output.
+    candidates; only those are recomputed exactly and sorted. Block buffers
+    are allocated once: memory is O(BLOCK_BYTES) beyond the input and output.
     """
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
@@ -89,16 +90,22 @@ def knn_indices(points, k: int):
     margin = 4.0 * (d + 8) * np.finfo(np.float64).eps * (sq + sq.max())
     minus_2ct = -2.0 * centred.T
     out = np.empty((n, k), dtype=np.int64)
-    for block in row_blocks(n, 8 * n):
+    blocks = list(row_blocks(n, 8 * n))
+    screen_buf, ranked_buf = np.empty((2, blocks[0].stop, n))
+    keep_buf = np.empty((blocks[0].stop, n), dtype=bool)
+    for block in blocks:
         rows = np.arange(block.start, block.stop)
         local = rows - block.start
         # |c_j|^2 - 2 c_i.c_j: the squared distance less |c_i|^2, which is
         # constant along a row and so changes no row's order.
-        screen = centred[block] @ minus_2ct
+        screen = np.matmul(centred[block], minus_2ct, out=screen_buf[:rows.size])
         screen += sq
         screen[local, rows] = np.inf
-        kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
-        keep = screen <= (kth + margin[block])[:, None]
+        ranked = ranked_buf[:rows.size]
+        ranked[...] = screen
+        ranked.partition(k - 1, axis=1)
+        kth = ranked[:, k - 1]
+        keep = np.less_equal(screen, (kth + margin[block])[:, None], out=keep_buf[:rows.size])
         keep[local, rows] = False  # even where overflow made kth infinite
         r, cols = np.divmod(np.flatnonzero(keep), n)
         d2 = np.empty(cols.size)
@@ -116,17 +123,19 @@ def knn_graph(data, k: int = DEFAULT_K) -> NeighborGraph:
     """Build the exact symmetric kNN graph under Euclidean distance.
 
     An edge {i,j} exists iff j is among the k nearest neighbors of i or
-    vice versa. Distance ties are broken toward the smaller index. The
-    search is :func:`knn_indices`: O(N^2 D) time in row blocks, with working
-    memory bounded by BLOCK_BYTES instead of growing as N^2.
+    vice versa. Distance ties are broken toward the smaller index. The search,
+    :func:`knn_indices` (kept as `neighbors`), takes O(N^2 D) time in row
+    blocks, with working memory bounded by BLOCK_BYTES instead of growing as N^2.
     """
     points = data.points if isinstance(data, Dataset) else _raw_points(data)
     n = points.shape[0]
-    j = knn_indices(points, k).ravel()
+    neighbors = knn_indices(points, k)
+    neighbors.setflags(write=False)
+    j = neighbors.ravel()
     i = np.repeat(np.arange(n, dtype=np.int64), k)
     codes = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
     edges = np.column_stack((codes // n, codes % n))
-    return NeighborGraph(edges, k=k, n=n)
+    return NeighborGraph(edges, k=k, n=n, neighbors=neighbors)
 
 
 def _raw_points(data):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cne import Embedding, cli, knn_graph, load_csv, quality_report
 from cne.cli import DEFAULTS, _resolve, build_parser, main
 
 BLOBS = "blobs:n_per_class=40,n_classes=3,dim=6,separation=15,seed=0"
@@ -118,6 +119,22 @@ def test_embed_small_data_clamps_metric_k(tmp_path, capsys):
     assert report["knn_recall"] is not None and report["silhouette"] is not None
 
 
+def test_embed_graph_narrower_than_recall_k(tmp_path, capsys):
+    # The graph's 2-wide neighbor array is narrower than the clamped
+    # k_recall of 5, so recall searches the input space again and the
+    # report equals one computed without the graph's search.
+    data = tmp_path / "six.csv"
+    data.write_text("a,b,c,label\n0,0,1,x\n0,1,0,x\n1,0,0,x\n5,5,6,y\n5,6,5,y\n6,5,5,y\n")
+    out = tmp_path / "run"
+    assert run(["embed", "--data", str(data), "--label-column", "label", "--k", "2",
+                "--epochs", "5", "--out", str(out)]) == 0
+    # embedding.csv is written with %.17g, so it reads back exactly.
+    coords = np.loadtxt(out / "embedding.csv", delimiter=",", skiprows=1, usecols=(1, 2))
+    report = quality_report(load_csv(data, label_column="label"), Embedding(coords))
+    expected = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    assert (out / "quality.json").read_text() == expected
+
+
 def test_embed_supervised_without_labels(tmp_path, capsys):
     data = tmp_path / "plain.csv"
     assert run(["gen", "moons:n=40,noise=0.0,seed=0", "--out", str(data)]) == 0
@@ -229,6 +246,22 @@ def test_bench_partial_failure_still_ok(tmp_path, capsys):
     status = {r["loss"]: r["status"] for r in rows}
     assert status["umap"] == "ok"
     assert status["supcon"].startswith("error")
+
+
+def test_bench_loads_and_builds_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "knn_graph", lambda *a, **kw: calls.append(1) or knn_graph(*a, **kw))
+    assert run(["bench", "--data", BLOBS, "--losses", "umap,trimap", "--seeds", "0,1",
+                "--jobs", "2", "--out", str(tmp_path / "bench"), *FAST]) == 0
+    assert len(calls) == 1
+
+
+def test_bench_unreadable_data_fails_before_the_grid(tmp_path, capsys):
+    out = tmp_path / "bench"
+    assert run(["bench", "--data", str(tmp_path / "absent.csv"), "--losses", "umap,trimap",
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot read")
+    assert not out.exists()
 
 
 def test_gradcheck_all_losses(capsys):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cne import DataError, Dataset, load_csv, make_blobs, make_moons, standardize, write_csv
+from cne import (
+    DataError, Dataset, Embedding, load_csv, make_blobs, make_moons, standardize, write_csv,
+)
 from cne.data import blob_centers, densify_labels
 
 
@@ -26,6 +28,12 @@ def test_dataset_rejects_nonfinite():
 def test_dataset_rejects_negative_labels():
     with pytest.raises(DataError):
         Dataset(points=np.zeros((2, 2)), labels=np.array([0, -1]))
+
+
+def test_embedding_rejects_zero_columns():
+    # silhouette builds its distances from the first coordinate on
+    with pytest.raises(DataError, match=">= 1 column"):
+        Embedding(np.zeros((4, 0)))
 
 
 def test_densify_labels_first_appearance():

@@ -6,9 +6,10 @@ grids, k = N-1, points far from the origin, and blocks smaller than N rows."""
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from cne import Dataset, Embedding, knn_accuracy, knn_graph, knn_recall, quality_report, silhouette
+from cne import CneError, Dataset, Embedding, knn_accuracy, knn_graph, knn_recall, quality_report, silhouette
 from cne import neighbor_graph
 from cne.neighbor_graph import knn_indices
 from test_metrics import naive_accuracy, naive_recall, naive_silhouette
@@ -88,3 +89,32 @@ def test_metrics_match_naive(high, low, block_bytes):
         report = quality_report(ds, emb, k_recall=k, k_accuracy=n - 1)
     assert report.knn_recall == naive_recall(points, coords, k)
     assert report.knn_accuracy == naive_accuracy(labels, coords, n - 1)
+
+
+@SETTINGS
+@given(problems())
+def test_graph_keeps_its_search(problem):
+    points, k, _ = problem
+    neighbors = knn_graph(points, k=k).neighbors
+    assert neighbors.tolist() == knn_indices(points, k).tolist()
+    assert not neighbors.flags.writeable
+
+
+@SETTINGS
+@given(problems(min_n=4), problems(min_n=4, dim=2), BLOCK_BYTES)
+def test_quality_report_with_input_neighbors(high, low, block_bytes):
+    # A shared input search wider than, as wide as or narrower than k_recall
+    # (then searched again), or none, gives the same report.
+    points, k, rng = high
+    n = min(len(points), len(low[0]))
+    points, coords, k = points[:n], low[0][:n], min(k, n - 1)
+    labels = rng.permutation(np.arange(n) % min(3, n // 2))
+    ds, emb = Dataset(points=points, labels=labels), Embedding(coords)
+    with mock.patch.object(neighbor_graph, "BLOCK_BYTES", block_bytes):
+        want = quality_report(ds, emb, k_recall=k)
+        for width in {min(k + 2, n - 1), k, max(k - 1, 1)}:
+            shared = knn_indices(points, width)
+            assert quality_report(ds, emb, k_recall=k, input_neighbors=shared) == want
+        assert quality_report(ds, emb, k_recall=k, input_neighbors=None) == want
+        with pytest.raises(CneError, match="rows for"):  # a search of other data
+            quality_report(ds, emb, k_recall=k, input_neighbors=shared[:-1])

@@ -154,6 +154,18 @@ def test_silhouette_matches_naive():
         assert got == pytest.approx(naive_silhouette(labels, coords), abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_silhouette_matches_naive_above_two_dims(d):
+    # From d = 3 the squared distances are summed in another order than the
+    # naive reference's, so the last bits may differ.
+    rng = np.random.default_rng(11 + d)
+    for _ in range(5):
+        coords = rng.normal(size=(30, d))
+        labels = np.repeat([0, 1, 2], 10)
+        got = silhouette(labels, Embedding(coords))
+        assert got == pytest.approx(naive_silhouette(labels, coords), abs=1e-12)
+
+
 def test_silhouette_tight_far_clusters():
     rng = np.random.default_rng(7)
     coords = np.vstack([

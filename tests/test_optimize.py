@@ -131,10 +131,12 @@ def test_supervised_loss_requires_labels():
         fit_nonparametric(ds, g, LossSpec(kind="supcon"), OptimConfig(epochs=1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_parametric_supervised_divergence_is_reported():
     # On 600 x 10 blobs the encoder's output overflows within a few epochs at
     # the parametric defaults, while the weights stay finite: the loss is
-    # the first non-finite quantity, and the run reports divergence.
+    # the first non-finite quantity, and the run reports divergence, with
+    # no numpy warning on the way.
     ds = make_blobs(200, 3, 10, 20.0, 0)
     g = knn_graph(ds, k=15)
     cfg = OptimConfig(epochs=10, learning_rate=0.01, mode="parametric")
