@@ -393,7 +393,7 @@ def _loss_supcon(batch, coords, spec, w_u, acc):
     d_n = d_n_flat.reshape(bc, batch.m)
     if spec.use_incl_positive:
         # Per-positive denominator: its own similarity joins the negatives.
-        pos_in_keep = np.searchsorted(keep, rows)
+        pos_in_keep = (np.cumsum(sizes > 0) - 1)[rows]
         a = np.column_stack([-d_pj / tau, -d_n[pos_in_keep] / tau])
         lse, soft = _lse_rows(a)
         value = ((d_pj / tau + lse) * inv_sz).sum() / bc
@@ -442,7 +442,7 @@ def _loss_tscne(batch, coords, spec, w_u, acc):
     i_n, j_n = _negatives(batch, keep)
     diff_n, _, phi_n = _phi(coords, i_n, j_n)
     v = phi_n.reshape(bc, batch.m).sum(axis=1)
-    v_rows = v[np.searchsorted(keep, rows)]
+    v_rows = v[(np.cumsum(sizes > 0) - 1)[rows]]
     starts = _segments(sizes[keep])
     if spec.use_log_ratio:
         value = -(np.log(u / (u + v_rows)) * inv_sz).sum() / bc
@@ -500,7 +500,9 @@ def evaluate(spec: LossSpec, batch: PairBatch, coords, epoch: int = 0,
     coords = np.asarray(coords, dtype=np.float64)
     if not np.all(np.isfinite(coords)):
         raise LossNumericsError("coordinates contain non-finite values")
-    lo, hi = batch.all_indices()[[0, -1]]
+    parts = [p for p in (batch.anchors, batch.positives, batch.negatives, batch.midnears)
+             if p is not None]
+    lo, hi = min(np.min(p) for p in parts), max(np.max(p) for p in parts)
     if lo < 0 or hi >= len(coords):
         raise LossNumericsError(f"batch indices {lo}..{hi} outside 0..{len(coords) - 1}")
     lp = batch.label_positives

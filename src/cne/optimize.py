@@ -170,8 +170,9 @@ class Encoder:
         h = [np.asarray(x, dtype=np.float64)]
         last = len(self.weights) - 1
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = h[-1] @ w.T + b
-            h.append(np.maximum(out, 0.0) if layer < last else out)
+            out = h[-1] @ w.T
+            out += b
+            h.append(np.maximum(out, 0.0, out=out) if layer < last else out)
         return h
 
     def backward(self, cache, d_out):

@@ -125,9 +125,16 @@ class PairBatch:
     def remap(self, index) -> "PairBatch":
         """This batch with each sample index replaced by its position in the
         sorted array `index`, which must hold them all (e.g. all_indices()).
-        label_positives are batch positions and carry over unchanged."""
+        label_positives are batch positions and carry over unchanged. Raises
+        SamplingError when `index` lacks a batch index."""
+        lut = np.full(np.max(index, initial=-1) + 2, -1, np.intp)  # -1: not in index
+        lut[index] = np.arange(len(index))
+
         def pos(a):
-            return None if a is None else np.searchsorted(index, a)
+            out = None if a is None else lut.take(a, mode="clip")  # above max(index): -1
+            if out is not None and out.size and (a.min() < 0 or out.min() < 0):
+                raise SamplingError("remap: index does not hold every batch index")
+            return out
         return PairBatch(pos(self.anchors), pos(self.positives), pos(self.negatives),
                          pos(self.midnears), self.label_positives)
 

@@ -584,6 +584,19 @@ def test_evaluate_rejects_out_of_range_batch():
         batch = pair_batch([0], [1], [[bad]])
         with pytest.raises(LossNumericsError):
             evaluate(LossSpec(kind="umap"), batch, coords)
+    # The same in each index field in turn; trimap with w_u > 0 reads the
+    # mid-nears too.
+    coords = np.random.default_rng(15).normal(size=(3, 2))
+    spec = LossSpec(kind="trimap", m=1)
+    assert spec.schedule.w_u(0, 1) > 0
+    fields = {"anchors": [0], "positives": [1], "negatives": [[2]], "midnears": [[1, 2]]}
+    evaluate(spec, pair_batch(**fields), coords)
+    for name in fields:
+        for bad in (5, -1):
+            arr = np.array(fields[name])
+            arr.flat[-1] = bad
+            with pytest.raises(LossNumericsError):
+                evaluate(spec, pair_batch(**{**fields, name: arr}), coords)
     # Label positives are batch positions: outside 0..B-1 is an error, not a
     # wrap-around to another anchor.
     coords = np.random.default_rng(14).normal(size=(5, 2))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cne import (
     Dataset, PairBatch, Sampler, SamplingError, ScheduleSpec, knn_graph,
-    sample_edge_batch, sample_midnears,
+    random_batch, sample_edge_batch, sample_midnears,
 )
 from cne.neighbor_graph import NeighborGraph
 from cne.sampling import LabelPositives, attach_label_positives
@@ -250,6 +250,35 @@ def test_label_positives_lists_convert_to_csr():
     assert batch.remap(np.arange(3)).label_positives is lp
     batch.label_positives = [np.array([2]), np.array([0]), np.array([1])]
     assert batch.label_positives.positions.tolist() == [2, 0, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 12), st.integers(1, 4), st.booleans(),
+       st.lists(st.integers(0, 80), max_size=12), st.integers(0, 2**32 - 1), st.data())
+def test_remap_matches_searchsorted_and_rejects_a_missing_index(n, b, m, midnears, extra,
+                                                                seed, data):
+    batch = random_batch(n, b, m, np.random.default_rng(seed))
+    if not midnears:
+        batch.midnears = None
+    uniq = batch.all_indices()
+    # The batch's own indices, and a sorted superset with samples it lacks.
+    for index in (uniq, np.union1d(uniq, np.array(extra, dtype=np.int64))):
+        out = batch.remap(index)
+        for name in ("anchors", "positives", "negatives", "midnears"):
+            a, got = getattr(batch, name), getattr(out, name)
+            if a is None:
+                assert got is None
+            else:
+                want = np.searchsorted(index, a)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        # One batch member missing from `index`: the lowest, the highest or
+        # any other.
+        for missing in {uniq[0], uniq[-1], data.draw(st.sampled_from(uniq.tolist()))}:
+            with pytest.raises(SamplingError):
+                batch.remap(index[index != missing])
+    batch.anchors[0] = -1
+    with pytest.raises(SamplingError):
+        batch.remap(uniq)
 
 
 @st.composite
