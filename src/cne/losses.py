@@ -113,13 +113,17 @@ class LossSpec:
 @dataclass
 class LossGrad:
     value: float
-    grad: np.ndarray     # (N, d) gradient for every coordinate row
-    touched: np.ndarray  # sorted sample indices with a contribution; grad is 0 elsewhere
+    grad: np.ndarray  # (N, d) gradient for every coordinate row
+    rows: np.ndarray  # the row of every accumulated contribution, repeats included
     skipped_anchors: int = 0
 
     @property
+    def touched(self) -> np.ndarray:  # sorted rows with a contribution; grad is 0 elsewhere
+        return np.flatnonzero(np.bincount(self.rows, minlength=len(self.grad)))
+
+    @property
     def grads(self) -> dict:  # per-sample view: touched index -> copy of its row
-        return dict(zip(self.touched.tolist(), self.grad[self.touched]))
+        return dict(zip((touched := self.touched).tolist(), self.grad[touched]))
 
 
 class _Accumulator:
@@ -150,7 +154,7 @@ class _Accumulator:
                   coef[:, None] * (diff / dist[:, None]))
 
     def result(self):
-        """(dense N x d gradient, sorted touched indices)."""
+        """(dense N x d gradient, the row of every contribution)."""
         n, d = self.coords.shape
         grad = np.zeros((n, d))
         if not self.rows:
@@ -159,7 +163,7 @@ class _Accumulator:
         w = np.concatenate(self.contribs)
         for c in range(d):
             grad[:, c] = np.bincount(rows, weights=w[:, c], minlength=n)
-        return grad, np.flatnonzero(np.bincount(rows, minlength=n))
+        return grad, rows
 
 
 def _diff(coords, i, j):
@@ -518,13 +522,13 @@ def evaluate(spec: LossSpec, batch: PairBatch, coords, epoch: int = 0,
     acc = _Accumulator(coords)
     with np.errstate(all="ignore"):  # overflow is reported below, not warned about
         value, skipped = _LOSS_FUNCS[spec.kind](batch, coords, spec, w_u, acc)
-        grad, touched = acc.result()
+        grad, rows = acc.result()
     if not np.isfinite(value):
         raise LossNumericsError(f"loss {spec.kind!r} produced non-finite value")
     if not np.all(np.isfinite(grad)):
         bad = np.nonzero(~np.isfinite(grad))[0][0]
         raise LossNumericsError(f"loss {spec.kind!r}: non-finite gradient for sample {bad}")
-    return LossGrad(value=float(value), grad=grad, touched=touched,
+    return LossGrad(value=float(value), grad=grad, rows=rows,
                     skipped_anchors=skipped)
 
 

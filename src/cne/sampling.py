@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -161,10 +162,20 @@ def sample_edge_batch(graph: NeighborGraph, batch_size: int, m: int, rng) -> Pai
     return PairBatch(anchors=anchors, positives=positives, negatives=negatives)
 
 
+def _repeats(cand):
+    """Rows of `cand` holding a value twice, by comparing each pair of columns."""
+    out = np.zeros(len(cand), dtype=bool)
+    for a, c in combinations(cand.T.copy(), 2):
+        out |= a == c
+    return out
+
+
 def sample_midnears(data: Dataset, anchors, rng, pool: int = DEFAULT_MIDNEAR_POOL,
                     n_mid: int = DEFAULT_N_MID):
     """Vectorized mid-near sampling: n_mid independent draws per anchor,
-    each the second-nearest of a fresh pool of `pool` distinct candidates."""
+    each the second-nearest of a fresh pool of `pool` distinct candidates
+    (a pool with a repeat is redrawn whole) in (squared distance, index)
+    order: ties, infinite distances included, go to the smaller index."""
     n = data.n
     if pool < 2:
         raise SamplingError("pool must be >= 2")
@@ -173,39 +184,22 @@ def sample_midnears(data: Dataset, anchors, rng, pool: int = DEFAULT_MIDNEAR_POO
     anchors = np.asarray(anchors)
     b = len(anchors)
     rep = np.repeat(anchors, n_mid)
-    # Rejection sampling: redraw rows until all pool candidates are distinct.
-    # Rows are kept sorted (ascending index, so the stable sort below breaks
-    # distance ties low); only redrawn rows are sorted again.
-    cand = np.sort((rep[:, None] + rng.integers(1, n, size=(b * n_mid, pool))) % n, axis=1)
-    rows = np.flatnonzero((cand[:, 1:] == cand[:, :-1]).any(axis=1))
+    cand = (rep[:, None] + rng.integers(1, n, size=(b * n_mid, pool))) % n
+    rows = np.flatnonzero(_repeats(cand))
     while len(rows):
-        redraw = rep[rows, None] + rng.integers(1, n, size=(len(rows), pool))
-        cand[rows] = np.sort(redraw % n, axis=1)
-        rows = rows[(cand[rows, 1:] == cand[rows, :-1]).any(axis=1)]
-    diff = data.points.take(cand, axis=0) - data.points.take(rep, axis=0)[:, None, :]
-    d2 = np.einsum("bpd,bpd->bp", diff, diff)
-    order = np.argsort(d2, axis=1, kind="stable")
-    second = cand[np.arange(b * n_mid), order[:, 1]]
-    return second.reshape(b, n_mid)
-
-
-def _distinct_draws(high, k, rng):
-    """(len(high), k) draws, row r a uniform random k-subset of [0, high[r])
-    in random order (needs k <= high[r]). Each repeat of a value already in
-    its row is redrawn until no row has one. Which entries are redrawn depends
-    only on which are equal, never on their values, so the subsets stay
-    uniform; unlike redrawing whole rows, this stays fast when k is close to
-    high[r]."""
-    out = rng.integers(0, high[:, None], size=(len(high), k))
-    rows = np.arange(len(high))
-    while len(rows):
-        # value * k + column: equal values sort next to each other, first
-        # column first; every later one is redrawn.
-        srt = np.sort(out[rows] * k + np.arange(k), axis=1)
-        r, c = np.nonzero(srt[:, 1:] // k == srt[:, :-1] // k)
-        out[rows[r], srt[r, c + 1] % k] = rng.integers(0, high[rows[r]])
-        rows = np.unique(rows[r])
-    return out
+        cand[rows] = (rep[rows, None] + rng.integers(1, n, size=(len(rows), pool))) % n
+        rows = rows[_repeats(cand[rows])]
+    diff = data.points.take(cand, axis=0)
+    rel = diff.reshape(b, n_mid * pool, data.dim)  # a view; each anchor's row gathered once
+    rel -= data.points.take(anchors, axis=0)[:, None, :]
+    # Pool members as rows, draws as columns: the reductions run across rows.
+    d2 = np.einsum("bpd,bpd->bp", diff, diff).T.copy()
+    cand = cand.T
+    first = np.where(d2 == d2.min(axis=0), cand, n).min(axis=0)
+    taken = cand == first
+    d2[taken] = np.inf
+    cand = np.where(taken, n, cand)  # n: never the second pick
+    return np.where(d2 == d2.min(axis=0), cand, n).min(axis=0).reshape(b, n_mid)
 
 
 def attach_label_positives(batch: PairBatch, labels, max_per_anchor=None,
@@ -213,12 +207,13 @@ def attach_label_positives(batch: PairBatch, labels, max_per_anchor=None,
     """Fill batch.label_positives (CSR, positions into the batch) from the
     dataset labels: each anchor gets the other anchors sharing its label.
 
-    With max_per_anchor set, an anchor whose label group has more than that
-    many others keeps a uniform random subset of exactly max_per_anchor of
-    them, in random order; the per-anchor average over the label-positive set
-    is estimated from the subset. Otherwise the set lists the others in batch
-    order. Work and memory are O(B * cap), or O(B * largest set) without a
-    cap; there is no loop over anchors or labels.
+    With max_per_anchor set, each label group is put in one uniformly random
+    cyclic order, and an anchor keeps the min(cap, others) members that follow
+    it there: a uniform random subset of its others, in random order, and each
+    member lies in as many sets as it holds. The per-anchor average over the
+    label-positive set is estimated from the subset. Otherwise the set lists
+    the others in batch order. Work and memory are O(B * cap), or O(B *
+    largest set) without a cap; there is no loop over anchors or labels.
     """
     if max_per_anchor is not None and max_per_anchor < 1:
         raise SamplingError(f"max_per_anchor must be >= 1, got {max_per_anchor}")
@@ -226,8 +221,10 @@ def attach_label_positives(batch: PairBatch, labels, max_per_anchor=None,
         raise SamplingError("capped label positives need a generator")
     lab = np.asarray(labels)[batch.anchors]
     b = len(lab)
-    # Anchors grouped by label, ascending position within each group.
-    order = np.argsort(lab, kind="stable")
+    # Anchors grouped by label: in batch order within each group, or, with a
+    # cap, in one uniformly random order per group (a sort by label, random key).
+    order = np.arange(b) if max_per_anchor is None else rng.permutation(b)
+    order = order[np.argsort(lab[order], kind="stable")]
     srt = lab[order]
     first = np.ones(b, dtype=bool)
     first[1:] = srt[1:] != srt[:-1]
@@ -237,17 +234,16 @@ def attach_label_positives(batch: PairBatch, labels, max_per_anchor=None,
     group = (np.cumsum(first) - 1)[slot]
     start = starts[group]                  # per anchor: its group's first slot
     rank = slot - start                    # per anchor: its rank within the group
-    others = np.diff(np.append(starts, b))[group] - 1
-    sizes = others if max_per_anchor is None else np.minimum(others, max_per_anchor)
-    # Offsets into the anchor's others (its own slot skipped below): all of
-    # them in order, or a uniform draw where the group exceeds the cap.
-    width = int(sizes.max()) if b else 0
-    pick = np.tile(np.arange(width), (b, 1))
-    drawn = others > sizes
-    if drawn.any():
-        pick[drawn] = _distinct_draws(others[drawn], width, rng)
-    pick += pick >= rank[:, None]
-    valid = np.arange(width) < sizes[:, None]
+    members = np.diff(np.append(starts, b))[group]  # per anchor: its group's size
+    sizes = members - 1 if max_per_anchor is None else np.minimum(members - 1, max_per_anchor)
+    # Each anchor's picks, as ranks within its group: all others in order
+    # (its own rank skipped), or the ones that follow it cyclically.
+    t = np.arange(int(sizes.max()) if b else 0)
+    if max_per_anchor is None:
+        pick = t + (t >= rank[:, None])
+    else:
+        pick = (rank[:, None] + 1 + t) % members[:, None]
+    valid = t < sizes[:, None]
     offsets = np.zeros(b + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     batch.label_positives = LabelPositives(order[(start[:, None] + pick)[valid]], offsets)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cne import (
-    LOSS_KINDS, LossNumericsError, LossSpec, PairBatch, ScheduleSpec,
+    LOSS_KINDS, LossGrad, LossNumericsError, LossSpec, PairBatch, ScheduleSpec,
     evaluate, grad_check, random_batch,
 )
 from cne.sampling import LabelPositives
@@ -653,9 +653,31 @@ def test_accumulator_matches_sequential_scatter():
     expect = np.zeros_like(coords)
     for rows, contrib in zip(acc.rows, acc.contribs):
         np.add.at(expect, rows, contrib)
-    grad, touched = acc.result()
+    grad, rows = acc.result()
     assert np.array_equal(grad, expect)
+    touched = LossGrad(value=0.0, grad=grad, rows=rows).touched
     assert np.array_equal(touched, np.unique(np.concatenate(acc.rows)))
+
+
+def test_tscne_touched_is_every_sample_a_kept_anchor_pairs_with():
+    # `touched` is built from the accumulated rows when read. On a tscne
+    # batch it holds each anchor with a label positive and every sample it
+    # is paired with: label positives, positive, negatives and mid-nears.
+    rng = np.random.default_rng(21)
+    n = 30
+    labels = rng.integers(0, 3, size=n)
+    coords = rng.normal(size=(n, 2))
+    spec = LossSpec(kind="tscne", m=3)
+    for b in (1, 3, 8, 20):
+        batch = random_batch(n, b, 3, rng, labels=labels)
+        lp = batch.label_positives
+        keep = np.flatnonzero(np.diff(lp.offsets))
+        expect = np.unique(np.concatenate([
+            batch.anchors[keep], batch.anchors[lp.positions], batch.positives[keep],
+            batch.negatives[keep].ravel(), batch.midnears[keep].ravel()]))
+        lg = evaluate(spec, batch, coords)
+        assert np.array_equal(lg.touched, expect)
+        assert list(lg.grads) == expect.tolist()
 
 
 def test_spec_validation():

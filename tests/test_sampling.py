@@ -23,12 +23,32 @@ def sample_midnear(data, anchor, rng, pool=6):
     if n <= pool:
         raise SamplingError(f"need N > pool, got N={n}, pool={pool}")
     raw = rng.choice(n - 1, size=pool, replace=False)
-    cand = raw + (raw >= anchor)
-    cand = np.sort(cand)  # ascending index so stable sort breaks distance ties low
+    return second_nearest(data, anchor, raw + (raw >= anchor))
+
+
+def second_nearest(data, anchor, cand):
+    """The oracle's selection rule: the second of the candidates in a stable
+    sort by squared distance to the anchor, taken over the index-sorted
+    candidates, so distance ties go to the smaller index."""
+    cand = np.sort(cand)
     diff = data.points[cand] - data.points[anchor]
     d2 = np.einsum("pd,pd->p", diff, diff)
     order = np.argsort(d2, kind="stable")
     return int(cand[order[1]])
+
+
+def midnears_by_oracle_rule(data, anchors, rng, pool, n_mid):
+    """sample_midnears' draws, with rows redrawn whole while they repeat a
+    candidate (found on sorted rows), each row resolved by second_nearest."""
+    n = data.n
+    rep = np.repeat(anchors, n_mid)
+    cand = np.sort((rep[:, None] + rng.integers(1, n, size=(len(rep), pool))) % n, axis=1)
+    rows = np.flatnonzero((cand[:, 1:] == cand[:, :-1]).any(axis=1))
+    while len(rows):
+        redraw = rep[rows, None] + rng.integers(1, n, size=(len(rows), pool))
+        cand[rows] = np.sort(redraw % n, axis=1)
+        rows = rows[(cand[rows, 1:] == cand[rows, :-1]).any(axis=1)]
+    return np.array([second_nearest(data, a, c) for a, c in zip(rep, cand)]).reshape(-1, n_mid)
 
 
 def label_positive_set(labels, batch, anchor: int):
@@ -156,6 +176,31 @@ def test_midnears_vectorized_matches_definition():
         assert np.all(np.abs(freq - expect) <= 5 * sigma)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 25), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 30), st.sampled_from(["real", "rounded", "overflow"]),
+       st.integers(0, 2**32 - 1))
+def test_midnears_match_the_oracle_rule(pool, extra, dim, n_mid, b, scale, seed):
+    # Rounded points make distance ties; points scaled by 1e200 make every
+    # squared distance between distinct points overflow to inf, so ties are
+    # broken among infinities. The generator must be left where the oracle
+    # rule's sampler leaves it.
+    rng = np.random.default_rng(seed)
+    n = pool + extra
+    points = rng.normal(size=(n, dim))
+    if scale != "real":
+        points = np.round(points)
+    if scale == "overflow":
+        points *= 1e200
+    ds = Dataset(points=points)
+    anchors = rng.integers(0, n, size=b)
+    got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = sample_midnears(ds, anchors, got_rng, pool=pool, n_mid=n_mid)
+    want = midnears_by_oracle_rule(ds, anchors, want_rng, pool, n_mid)
+    assert got.shape == (b, n_mid) and np.array_equal(got, want)
+    assert got_rng.random() == want_rng.random()
+
+
 def test_label_positive_set():
     labels = np.array([0, 0, 1])
     batch = np.array([0, 1, 2])
@@ -218,6 +263,25 @@ def test_attach_label_positives_near_cap_subsets_are_uniform():
     expect = trials / 10
     sigma = np.sqrt(expect * (1 - 1 / 10))
     assert all(abs(c - expect) < 5 * sigma for c in counts.values())
+
+
+def test_capped_label_positives_hold_each_member_cap_times():
+    # Cyclic followers in one random order per group: in a group of more
+    # than cap + 1 anchors each member is in exactly cap sets, none its own;
+    # in a smaller group each is in all the others' sets.
+    rng = np.random.default_rng(10)
+    labels = np.array([0] * 9 + [1] * 4 + [2])
+    batch = PairBatch(anchors=rng.permutation(len(labels)),
+                      positives=np.zeros(len(labels), dtype=np.int64),
+                      negatives=np.zeros((len(labels), 1), dtype=np.int64))
+    group = labels[batch.anchors]
+    cap = 4
+    for _ in range(50):
+        attach_label_positives(batch, labels, max_per_anchor=cap, rng=rng)
+        lp = batch.label_positives
+        held = np.bincount(lp.positions, minlength=batch.size)
+        assert np.array_equal(held, np.select([group == 0, group == 1], [cap, 3], 0))
+        assert all(r not in s for r, s in enumerate(lp))
 
 
 def test_label_positive_cap_below_one_is_rejected():
