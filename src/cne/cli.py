@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import json
 import statistics
 import sys
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, load_csv, make_blobs, make_moons, standardize, write_csv
+from .data import Dataset, load_csv, make_blobs, make_moons, standardize, write_csv, write_table
 from .errors import CneError
 from .losses import LOSS_KINDS, SUPERVISED_KINDS, LossSpec, grad_check, loss_defaults
 from .metrics import quality_report
@@ -81,6 +82,8 @@ def _coerce(key: str, value: str):
 RENAMES = {"kind": "loss", "learning_rate": "lr", "embedding_dim": "dim"}
 
 DEFAULTS = {
+    "data": None,
+    "out": None,
     "label_column": None,
     "standardize": False,
     "k": DEFAULT_K,
@@ -93,6 +96,7 @@ DEFAULTS = {
 PARAMETRIC_DEFAULTS = {"epochs": 100, "lr": 0.01}
 CHOICES = {"loss": LOSS_KINDS, "mode": MODES}
 HELP = {
+    "data": "CSV path or generator spec (blobs:...|moons:...)",
     "grad_clip": "element-wise gradient bound; 0 disables",
     "deterministic": "accepted for compatibility; runs are always deterministic",
 }
@@ -105,9 +109,6 @@ def _resolve(args, config: dict, loss: str | None = None) -> dict:
     merged = dict(DEFAULTS)
     explicit = set()
     for key, value in config.items():
-        if key in ("data", "out"):
-            merged[key] = value
-            continue
         if key not in merged:
             raise UsageError(f"unknown config key {key!r}")
         merged[key] = _coerce(key, value)
@@ -117,10 +118,6 @@ def _resolve(args, config: dict, loss: str | None = None) -> dict:
         if cli_val is not None:
             merged[key] = cli_val
             explicit.add(key)
-    for key in ("data", "out"):
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
     if loss is not None:
         merged["loss"] = loss
     overrides = loss_defaults(merged["loss"])
@@ -132,33 +129,25 @@ def _resolve(args, config: dict, loss: str | None = None) -> dict:
     return merged
 
 
+GENERATORS = {"blobs": make_blobs, "moons": make_moons}
+
+
 def _parse_generator_spec(spec: str) -> Dataset:
+    """KIND:key=value,...; the keys, their types and defaults are the generator's."""
     kind, _, rest = spec.partition(":")
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise UsageError(f"bad generator parameter {item!r}")
-            params[key.strip()] = value.strip()
+    if kind not in GENERATORS:
+        raise UsageError(f"unknown generator {kind!r}; use blobs:... or moons:...")
+    params = inspect.signature(GENERATORS[kind]).parameters
+    kwargs = {}
+    for item in rest.split(",") if rest else ():
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key not in params or not value:
+            raise UsageError(f"bad generator parameter {item!r}; {kind} takes {', '.join(params)}")
+        kwargs[key] = value
     try:
-        if kind == "blobs":
-            return make_blobs(
-                n_per_class=int(params.get("n_per_class", 200)),
-                n_classes=int(params.get("n_classes", 3)),
-                dim=int(params.get("dim", 10)),
-                separation=float(params.get("separation", 20.0)),
-                seed=int(params.get("seed", 0)),
-            )
-        if kind == "moons":
-            return make_moons(
-                n=int(params.get("n", 400)),
-                noise=float(params.get("noise", 0.05)),
-                seed=int(params.get("seed", 0)),
-            )
+        return GENERATORS[kind](**{k: type(params[k].default)(v) for k, v in kwargs.items()})
     except (ValueError, CneError) as exc:
         raise UsageError(f"bad generator spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown generator {kind!r}; use blobs:... or moons:...")
 
 
 def _label_column(label):
@@ -172,7 +161,7 @@ def _load_dataset(cfg: dict) -> Dataset:
     source = cfg.get("data")
     if not source:
         raise UsageError("no dataset: pass --data FILE or --data blobs:...|moons:...")
-    if source.startswith(("blobs:", "moons:")) or source in ("blobs", "moons"):
+    if source.partition(":")[0] in GENERATORS:
         ds = _parse_generator_spec(source)
     else:
         ds = load_csv(source, label_column=_label_column(cfg.get("label_column")))
@@ -202,20 +191,6 @@ def _specs(cfg: dict) -> tuple[LossSpec, OptimConfig]:
     return spec, OptimConfig(**_kwargs(OptimConfig, cfg))
 
 
-def _write_embedding_csv(path, emb, labels):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["id"] + [f"z{c + 1}" for c in range(emb.d)]
-        if labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(emb.n):
-            row = [str(i)] + [f"{v:.17g}" for v in emb.coords[i]]
-            if labels is not None:
-                row.append(str(int(labels[i])))
-            writer.writerow(row)
-
-
 def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
     """One full training run on `ds` and its kNN graph (read-only, so they
     may be shared); returns the quality report dict."""
@@ -225,7 +200,7 @@ def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
             raise UsageError(f"loss {spec.kind!r} requires labeled data")
         if len(np.unique(ds.labels)) < 2:
             raise UsageError(f"loss {spec.kind!r} requires at least two classes")
-    out = Path(cfg.get("out") or "out")
+    out = Path(cfg["out"] or "out")
     out.mkdir(parents=True, exist_ok=True)
 
     if optim.mode == "parametric":
@@ -234,11 +209,12 @@ def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
     else:
         emb, log = fit_nonparametric(ds, graph, spec, optim)
 
-    _write_embedding_csv(out / "embedding.csv", emb, ds.labels)
+    write_table(out / "embedding.csv", emb.coords, ds.labels,
+                [f"z{c + 1}" for c in range(emb.d)], ids=True)
     with open(out / "train_log.jsonl", "w") as fh:
         for entry in log:
             fh.write(json.dumps(entry) + "\n")
-    resolved = {k: v for k, v in cfg.items() if k not in ("out",)}
+    resolved = {k: v for k, v in cfg.items() if k != "out"}
     resolved["loss_spec"] = spec.to_dict()
     resolved["optim"] = optim.to_dict()
     with open(out / "config.json", "w") as fh:
@@ -252,10 +228,7 @@ def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
 
 
 def cmd_gen(args) -> int:
-    spec = args.generator
-    if ":" not in spec and args.params:
-        spec = f"{spec}:{args.params}"
-    ds = _parse_generator_spec(spec)
+    ds = _parse_generator_spec(args.generator)
     write_csv(ds, args.out)
     print(f"wrote {ds.n} x {ds.dim} samples to {args.out}")
     return EXIT_OK
@@ -280,20 +253,27 @@ def _bench_one(cfg, ds, graph):
         return {"loss": cfg["loss"], "seed": cfg["seed"], "status": f"error: {exc}"}
 
 
+def _loss_list(text: str) -> list[str]:
+    kinds = [s.strip() for s in text.split(",") if s.strip()]
+    for name in kinds:
+        if name not in LOSS_KINDS:
+            raise UsageError(f"unknown loss {name!r}")
+    return kinds
+
+
 def cmd_bench(args) -> int:
     config = _load_config_file(args.config) if args.config else {}
-    loss_list = [s.strip() for s in args.losses.split(",") if s.strip()]
+    loss_list = _loss_list(args.losses)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     try:
         seed_list = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     if not loss_list or not seed_list:
         raise UsageError("bench needs a non-empty --losses and --seeds grid")
-    for name in loss_list:
-        if name not in LOSS_KINDS:
-            raise UsageError(f"unknown loss {name!r}")
     base = _resolve(args, config)
-    out = Path(base.get("out") or "bench_out")
+    out = Path(base["out"] or "bench_out")
     grid = []
     for loss in loss_list:
         resolved = _resolve(args, config, loss=loss)
@@ -307,11 +287,8 @@ def cmd_bench(args) -> int:
     ds = _load_dataset(base)
     graph = knn_graph(ds, k=base["k"])
     out.mkdir(parents=True, exist_ok=True)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda cfg: _bench_one(cfg, ds, graph), grid))
-    else:
-        rows = [_bench_one(cfg, ds, graph) for cfg in grid]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        rows = list(pool.map(lambda cfg: _bench_one(cfg, ds, graph), grid))
 
     metric_keys = ("knn_recall", "knn_accuracy", "silhouette")
     summary = {}
@@ -341,11 +318,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    kinds = ([s.strip() for s in args.losses.split(",") if s.strip()]
-             if args.losses else list(LOSS_KINDS))
-    for name in kinds:
-        if name not in LOSS_KINDS:
-            raise UsageError(f"unknown loss {name!r}")
+    kinds = _loss_list(args.losses) if args.losses else list(LOSS_KINDS)
     rng = np.random.default_rng(args.seed)
     n, d, b, m = 64, 2, 8, args.m
     labels = rng.integers(0, 3, size=n)
@@ -374,8 +347,6 @@ def cmd_plot(args) -> int:
 
 def _add_run_flags(p):
     p.add_argument("--config", help="INI-style config file; CLI flags override it")
-    p.add_argument("--data", help="CSV path or generator spec (blobs:...|moons:...)")
-    p.add_argument("--out")
     for key, default in DEFAULTS.items():
         flag = "--" + key.replace("_", "-")
         if isinstance(default, bool):
@@ -393,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     p_gen.add_argument("generator", help="blobs or moons, optionally with :key=value,...")
-    p_gen.add_argument("--params", help="key=value,... generator parameters")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 

@@ -161,17 +161,20 @@ def load_csv(path, label_column=None) -> Dataset:
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset back to CSV with lossless 17-significant-digit reals."""
+    write_table(path, dataset.points, dataset.labels, [f"f{c}" for c in range(dataset.dim)])
+
+
+def write_table(path, values, labels, names, ids=False) -> None:
+    """CSV of `values` as lossless 17-significant-digit reals under `names`, after
+    an `id` column with `ids`, before a `label` column when `labels` is not None."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        names = [f"f{c}" for c in range(dataset.dim)]
-        if dataset.labels is not None:
-            names.append("label")
-        writer.writerow(names)
-        for i in range(dataset.n):
-            row = [f"{v:.17g}" for v in dataset.points[i]]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+        writer.writerow(["id"] * ids + names + ["label"] * (labels is not None))
+        for i, row in enumerate(values):
+            cells = [str(i)] * ids + [f"{v:.17g}" for v in row]
+            if labels is not None:
+                cells.append(str(int(labels[i])))
+            writer.writerow(cells)
 
 
 def standardize(dataset: Dataset) -> Dataset:
@@ -182,7 +185,7 @@ def standardize(dataset: Dataset) -> Dataset:
     return Dataset((dataset.points - mean) / std, dataset.labels)
 
 
-def make_blobs(n_per_class, n_classes, dim, separation, seed) -> Dataset:
+def make_blobs(n_per_class=200, n_classes=3, dim=10, separation=20.0, seed=0) -> Dataset:
     """Isotropic unit-variance Gaussian clusters with centers >= `separation` apart.
 
     Centers sit on the coordinate axes when n_classes <= dim (mutual distance
@@ -210,7 +213,7 @@ def blob_centers(n_classes, dim, separation):
     return centers
 
 
-def make_moons(n, noise, seed) -> Dataset:
+def make_moons(n=400, noise=0.05, seed=0) -> Dataset:
     """Two interleaving half-circles in 2-D with Gaussian noise of scale `noise`."""
     if n < 2:
         raise DataError("make_moons requires n >= 2")

@@ -225,7 +225,7 @@ def _loss_tsne(batch, coords, spec, w_u, acc):
     value = -np.log(phi).mean() + np.log(total)
     dphi = -1.0 / (b * phi) + 1.0 / total
     acc.add_sq(i, j, dphi * (-phi ** 2), diff)
-    return value, 0
+    return value
 
 
 def _loss_umap(batch, coords, spec, w_u, acc):
@@ -238,7 +238,7 @@ def _loss_umap(batch, coords, spec, w_u, acc):
     value = -(np.log(phi_p).sum() + np.log(s_n * phi_n).sum()) / b
     acc.add_sq(i, j, phi_p / b, diff_p)
     acc.add_sq(i_n, j_n, -(1.0 / s_n - phi_n) / b, diff_n)
-    return value, 0
+    return value
 
 
 def _loss_trimap(batch, coords, spec, w_u, acc):
@@ -277,7 +277,7 @@ def _loss_trimap(batch, coords, spec, w_u, acc):
             dvm = w_u * (um / dm ** 2) / b
         acc.add_sq(i, jm, dum * (-um ** 2), diff_j)
         acc.add_sq(i, km, dvm * (-vm ** 2), diff_k)
-    return value, 0
+    return value
 
 
 def _loss_pacmap(batch, coords, spec, w_u, acc):
@@ -305,7 +305,7 @@ def _loss_pacmap(batch, coords, spec, w_u, acc):
         # identical gradient.
         value += -(1.0 - g_n).sum() / b
     acc.add_sq(i_n, j_n, -(1.0 / b) * phi_n ** 2 / (phi_n + 1.0) ** 2, diff_n)
-    return value, 0
+    return value
 
 
 def _loss_infonce(batch, coords, spec, w_u, acc):
@@ -321,7 +321,7 @@ def _loss_infonce(batch, coords, spec, w_u, acc):
     dv = np.repeat(1.0 / (b * total), batch.m)
     acc.add_sq(i, j, du * (-u ** 2), diff_p)
     acc.add_sq(i_n, j_n, dv * (-v_flat ** 2), diff_n)
-    return value, 0
+    return value
 
 
 # --- Temperature-kernel losses ----------------------------------------------
@@ -345,7 +345,7 @@ def _loss_sscl(batch, coords, spec, w_u, acc):
     value = (d_p / tau + lse).mean()
     acc.add_dist(i, j, coef_p, diff_p, d_p)
     acc.add_dist(i_n, j_n, (-soft_n / (tau * b)).ravel(), diff_n, d_n_flat)
-    return value, 0
+    return value
 
 
 def _loss_snn(batch, coords, spec, w_u, acc):
@@ -366,7 +366,7 @@ def _loss_snn(batch, coords, spec, w_u, acc):
     value = (-lse_p + lse_n).sum() / n_groups
     acc.add_dist(i_p, j_p, soft_p / (tau * n_groups), diff_p, d_p)
     acc.add_dist(i_n, j_n, -soft_n / (tau * n_groups), diff_n, d_n)
-    return value, 0
+    return value
 
 
 def _label_pairs(batch):
@@ -375,8 +375,6 @@ def _label_pairs(batch):
     positive) pair in anchor order as its batch row and its two sample
     indices."""
     lp = batch.label_positives
-    if lp is None:
-        raise SamplingError("supervised loss requires label positives in the batch")
     sizes = np.diff(lp.offsets)
     rows = np.repeat(np.arange(batch.size), sizes)
     return (sizes, np.flatnonzero(sizes), rows,
@@ -386,9 +384,6 @@ def _label_pairs(batch):
 def _loss_supcon(batch, coords, spec, w_u, acc):
     tau = spec.tau
     sizes, keep, rows, i_flat, j_flat = _label_pairs(batch)
-    skipped = batch.size - len(keep)
-    if len(keep) == 0:
-        return 0.0, skipped
     bc = len(keep)
     diff_p, d_pj = _dist(coords, i_flat, j_flat)
     inv_sz = 1.0 / sizes[rows]
@@ -412,15 +407,12 @@ def _loss_supcon(batch, coords, spec, w_u, acc):
         value = ((d_pj / tau) * inv_sz).sum() / bc + lse_n.sum() / bc
         acc.add_dist(i_flat, j_flat, inv_sz / (tau * bc), diff_p, d_pj)
         acc.add_dist(i_n, j_n, (-soft_n / (tau * bc)).ravel(), diff_n, d_n_flat)
-    return value, skipped
+    return value
 
 
 def _loss_sup_snn(batch, coords, spec, w_u, acc):
     tau = spec.tau
     sizes, keep, rows, i_flat, j_flat = _label_pairs(batch)
-    skipped = batch.size - len(keep)
-    if len(keep) == 0:
-        return 0.0, skipped
     bc = len(keep)
     diff_p, d_pj = _dist(coords, i_flat, j_flat)
     lse_p, soft_p, _ = _segment_lse(-d_pj / tau, sizes[keep])
@@ -431,14 +423,11 @@ def _loss_sup_snn(batch, coords, spec, w_u, acc):
     value = (-lse_p + np.log(sizes[keep]) + lse_n).sum() / bc
     acc.add_dist(i_flat, j_flat, soft_p / (tau * bc), diff_p, d_pj)
     acc.add_dist(i_n, j_n, (-soft_n / (tau * bc)).ravel(), diff_n, d_n)
-    return value, skipped
+    return value
 
 
 def _loss_tscne(batch, coords, spec, w_u, acc):
     sizes, keep, rows, i_flat, j_flat = _label_pairs(batch)
-    skipped = batch.size - len(keep)
-    if len(keep) == 0:
-        return 0.0, skipped
     bc = len(keep)
     anchors = batch.anchors
     diff_p, _, u = _phi(coords, i_flat, j_flat)
@@ -480,7 +469,7 @@ def _loss_tscne(batch, coords, spec, w_u, acc):
             dm = np.repeat(w_u * up / (w ** 2) / bc, n_mid)
         acc.add_sq(i_k, j_k, dup * (-up ** 2), diff_k)
         acc.add_sq(i_m, j_m, dm * (-phi_m ** 2), diff_m)
-    return value, skipped
+    return value
 
 
 _LOSS_FUNCS = {
@@ -509,7 +498,9 @@ def evaluate(spec: LossSpec, batch: PairBatch, coords, epoch: int = 0,
     lo, hi = min(np.min(p) for p in parts), max(np.max(p) for p in parts)
     if lo < 0 or hi >= len(coords):
         raise LossNumericsError(f"batch indices {lo}..{hi} outside 0..{len(coords) - 1}")
-    lp = batch.label_positives
+    lp, skipped = batch.label_positives, 0
+    if spec.supervised and lp is None:
+        raise SamplingError("supervised loss requires label positives in the batch")
     if lp is not None:
         off, b = lp.offsets, batch.size
         if (len(off) != b + 1 or off[0] != 0 or off[-1] != len(lp.positions)
@@ -518,10 +509,14 @@ def evaluate(spec: LossSpec, batch: PairBatch, coords, epoch: int = 0,
                                     f"of {len(lp.positions)} positions over {b} anchors")
         if len(lp.positions) and (lp.positions.min() < 0 or lp.positions.max() >= b):
             raise LossNumericsError(f"label-positive positions outside 0..{b - 1}")
+        if spec.supervised:  # an anchor with an empty set is skipped
+            skipped = b - np.count_nonzero(np.diff(off))
     w_u = spec.schedule.w_u(epoch, n_epochs) if spec.kind in MIDNEAR_KINDS else 0.0
     acc = _Accumulator(coords)
     with np.errstate(all="ignore"):  # overflow is reported below, not warned about
-        value, skipped = _LOSS_FUNCS[spec.kind](batch, coords, spec, w_u, acc)
+        # With every anchor skipped the loss is 0 and so is its gradient.
+        value = (_LOSS_FUNCS[spec.kind](batch, coords, spec, w_u, acc)
+                 if skipped < batch.size else 0.0)
         grad, rows = acc.result()
     if not np.isfinite(value):
         raise LossNumericsError(f"loss {spec.kind!r} produced non-finite value")

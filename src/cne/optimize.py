@@ -63,17 +63,17 @@ class OptimConfig:
 def pca_init(points, d: int, scale: float = PCA_INIT_SCALE):
     """Project onto the top-d principal directions and rescale each output
     dimension to standard deviation `scale`. Sign-fixed so the result is a
-    pure function of the input."""
+    pure function of the input. PCA supplies at most min(D, N) columns."""
     x = points - points.mean(axis=0)
     _, _, vt = np.linalg.svd(x, full_matrices=False)
-    comps = vt[: min(d, vt.shape[0])]
+    if d > vt.shape[0]:
+        raise CneError(f"embedding dimension {d} exceeds the {vt.shape[0]} columns PCA can supply")
+    comps = vt[:d]
     for r in range(comps.shape[0]):
         lead = np.argmax(np.abs(comps[r]))
         if comps[r, lead] < 0:
             comps[r] = -comps[r]
     z = x @ comps.T
-    if z.shape[1] < d:
-        z = np.pad(z, ((0, 0), (0, d - z.shape[1])))
     sd = z.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
     return z * (scale / sd)
@@ -153,10 +153,6 @@ class Encoder:
     @property
     def in_dim(self) -> int:
         return self.sizes[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.sizes[-1]
 
     def forward(self, x):
         return self._layers(x)[-1]

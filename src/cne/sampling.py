@@ -262,8 +262,6 @@ class Sampler:
     data: Dataset | None = None
     batch_size: int = DEFAULT_BATCH_SIZE
     m: int = DEFAULT_M
-    pool: int = DEFAULT_MIDNEAR_POOL
-    n_mid: int = DEFAULT_N_MID
     seed: int = 0
     need_midnears: bool = False
     need_labels: bool = False
@@ -282,9 +280,7 @@ class Sampler:
     def next_batch(self) -> PairBatch:
         batch = sample_edge_batch(self.graph, self.batch_size, self.m, self.rng)
         if self.need_midnears:
-            batch.midnears = sample_midnears(
-                self.data, batch.anchors, self.rng, pool=self.pool, n_mid=self.n_mid
-            )
+            batch.midnears = sample_midnears(self.data, batch.anchors, self.rng)
         if self.need_labels:
             attach_label_positives(batch, self.data.labels,
                                    max_per_anchor=self.max_label_positives,
@@ -292,13 +288,12 @@ class Sampler:
         return batch
 
 
-def random_batch(n: int, batch_size: int, m: int, rng, n_mid: int = DEFAULT_N_MID,
-                 labels=None) -> PairBatch:
+def random_batch(n: int, batch_size: int, m: int, rng, labels=None) -> PairBatch:
     """Synthetic batch over n abstract samples, for gradient checks."""
     anchors = rng.integers(0, n, size=batch_size)
     positives = _uniform_non_anchor(anchors, n, batch_size, rng)
     negatives = _uniform_non_anchor(anchors[:, None], n, (batch_size, m), rng)
-    midnears = _uniform_non_anchor(anchors[:, None], n, (batch_size, n_mid), rng)
+    midnears = _uniform_non_anchor(anchors[:, None], n, (batch_size, DEFAULT_N_MID), rng)
     batch = PairBatch(anchors=anchors, positives=positives,
                       negatives=negatives, midnears=midnears)
     if labels is not None:

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from cne import Embedding, cli, knn_graph, load_csv, quality_report
+from cne import Embedding, cli, knn_graph, load_csv, quality_report, standardize, write_csv
 from cne.cli import DEFAULTS, _resolve, build_parser, main
+from cne.losses import SUPERVISED_KINDS
 
 BLOBS = "blobs:n_per_class=40,n_classes=3,dim=6,separation=15,seed=0"
 FAST = ["--epochs", "5", "--k", "6", "--batch-size", "256"]
@@ -60,6 +61,10 @@ def test_gen_moons(tmp_path):
 def test_gen_bad_spec(tmp_path):
     assert run(["gen", "donuts:n=5", "--out", str(tmp_path / "x.csv")]) == 2
     assert run(["gen", "blobs:n_per_class=oops", "--out", str(tmp_path / "x.csv")]) == 2
+    # Each key is one of the generator's parameters and carries a value.
+    for spec in ("blobs:n_per_clas=5", "moons:noize=0.1", "blobs:n_per_class"):
+        assert run(["gen", spec, "--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_embed_outputs(tmp_path, capsys):
@@ -371,8 +376,11 @@ def test_config_file_label_column(tmp_path, capsys):
     (["bench", "--data", BLOBS, "--losses", "umap", "--seeds", "a"], None),
     (["gradcheck", "--m", "0"], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--m", "0"], None),
+    (["bench", "--data", BLOBS, "--losses", "umap", "--jobs", "0"], None),
+    (["bench", "--data", BLOBS, "--losses", "umap", "--jobs", "-1"], None),
+    (["embed", "--data", "blobs:n_per_clas=5"], None),
 ], ids=["m0", "tau0", "batch0", "dim0", "ini-k", "ini-mode", "seeds", "gradcheck-m0",
-        "bench-m0"])
+        "bench-m0", "jobs0", "jobs-1", "gen-key"])
 def test_degenerate_settings_exit_with_a_message(tmp_path, capsys, argv, ini):
     if ini is not None:
         cfgfile = tmp_path / "run.ini"
@@ -382,6 +390,49 @@ def test_degenerate_settings_exit_with_a_message(tmp_path, capsys, argv, ini):
         argv = [*argv, "--out", str(tmp_path / "out")]
     assert run(argv) in (2, 3)
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+@pytest.mark.parametrize("kind", SUPERVISED_KINDS)
+def test_supervised_loss_on_one_class_exits_2(tmp_path, capsys, kind):
+    argv = ["embed", "--data", "blobs:n_per_class=30,n_classes=1,dim=4", "--loss", kind,
+            "--out", str(tmp_path / "out"), *FAST]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "two classes" in err
+
+
+def test_dim_above_what_pca_supplies_exits_with_a_message(tmp_path, capsys):
+    # 90 x 4 data: PCA supplies 4 columns, so a 6-column non-parametric run
+    # fails before training; a parametric run does not start from PCA.
+    data = "blobs:n_per_class=30,n_classes=3,dim=4"
+    assert run(["embed", "--data", data, "--dim", "6", "--out", str(tmp_path / "a"),
+                *FAST]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: embedding dimension 6 exceeds the 4 columns")
+    assert not (tmp_path / "a" / "embedding.csv").exists()
+    for name, argv in (("b", ["--dim", "4"]), ("c", ["--dim", "6", "--mode", "parametric"])):
+        assert run(["embed", "--data", data, *argv, "--out", str(tmp_path / name), *FAST]) == 0
+    header = (tmp_path / "c" / "embedding.csv").read_text().splitlines()[0]
+    assert header == "id,z1,z2,z3,z4,z5,z6,label"
+
+
+def test_standardize_flag_and_config_key(tmp_path, capsys):
+    # --standardize (or `standardize = yes`) trains on the same points as a
+    # CSV written from standardize(load_csv(...)); the round trip is lossless.
+    raw, scaled = tmp_path / "raw.csv", tmp_path / "scaled.csv"
+    assert run(["gen", BLOBS, "--out", str(raw)]) == 0
+    write_csv(standardize(load_csv(raw, label_column="label")), scaled)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nstandardize = yes\n")
+    runs = {"want": [str(scaled)], "flag": [str(raw), "--standardize"],
+            "ini": [str(raw), "--config", str(ini)], "raw": [str(raw)]}
+    for name, argv in runs.items():
+        assert run(["embed", "--data", *argv, "--label-column", "label",
+                    "--out", str(tmp_path / name), *FAST]) == 0
+    emb = {name: (tmp_path / name / "embedding.csv").read_bytes() for name in runs}
+    assert emb["flag"] == emb["want"] and emb["ini"] == emb["want"]
+    assert emb["raw"] != emb["want"]
+    assert json.loads((tmp_path / "ini" / "config.json").read_text())["standardize"] is True
 
 
 def test_bench_jobs_match_serial_run(tmp_path, capsys):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from cne import (
-    LOSS_KINDS, LossGrad, LossNumericsError, LossSpec, PairBatch, ScheduleSpec,
-    evaluate, grad_check, random_batch,
+    LOSS_KINDS, LossGrad, LossNumericsError, LossSpec, PairBatch, SamplingError,
+    ScheduleSpec, evaluate, grad_check, random_batch,
 )
+from cne.losses import SUPERVISED_KINDS
 from cne.sampling import LabelPositives
 
 ZERO_SCHEDULE = ScheduleSpec(w_u_init=0.0, w_u_final=0.0)
@@ -678,6 +679,25 @@ def test_tscne_touched_is_every_sample_a_kept_anchor_pairs_with():
         lg = evaluate(spec, batch, coords)
         assert np.array_equal(lg.touched, expect)
         assert list(lg.grads) == expect.tolist()
+
+
+@pytest.mark.parametrize("kind", SUPERVISED_KINDS)
+def test_supervised_batch_with_no_kept_anchor_is_skipped(kind):
+    # No anchor has a label positive: evaluate skips every anchor, so the
+    # value is 0 and the gradient 0. A batch with no label positives at all
+    # is an error.
+    rng = np.random.default_rng(5)
+    coords = rng.normal(size=(20, 2))
+    spec = LossSpec(kind=kind, m=4)
+    batch = pair_batch([0, 1, 2], [3, 4, 5], rng.integers(6, 20, size=(3, 4)),
+                       midnears=rng.integers(6, 20, size=(3, 2)),
+                       label_positives=[[], [], []])
+    lg = evaluate(spec, batch, coords)
+    assert lg.value == 0.0 and lg.skipped_anchors == 3
+    assert not lg.grad.any() and len(lg.touched) == 0
+    batch.label_positives = None
+    with pytest.raises(SamplingError, match="label positives"):
+        evaluate(spec, batch, coords)
 
 
 def test_spec_validation():

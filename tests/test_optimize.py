@@ -44,6 +44,16 @@ def test_pca_init_shape_and_scale():
     assert np.array_equal(z, pca_init(points, 2))
 
 
+def test_pca_init_rejects_more_columns_than_pca_supplies():
+    # PCA supplies min(D, N) columns; padding more with zeros would give
+    # columns that never move, since their gradient is exactly zero.
+    rng = np.random.default_rng(0)
+    assert pca_init(rng.normal(size=(90, 4)), 4).shape == (90, 4)
+    for shape, d in (((90, 4), 5), ((3, 7), 4)):
+        with pytest.raises(CneError, match=f"dimension {d} exceeds the {min(shape)} columns"):
+            pca_init(rng.normal(size=shape), d)
+
+
 def test_zero_learning_rate_keeps_pca_init():
     ds = small_blobs()
     g = knn_graph(ds, k=5)
