@@ -25,10 +25,10 @@ import numpy as np
 
 from .data import Dataset, load_csv, make_blobs, make_moons, standardize, write_csv, write_table
 from .errors import CneError
-from .losses import LOSS_KINDS, SUPERVISED_KINDS, LossSpec, grad_check, loss_defaults
+from .losses import LOSS_KINDS, LossSpec, grad_check, loss_defaults
 from .metrics import quality_report
 from .neighbor_graph import DEFAULT_K, knn_graph
-from .optimize import MODES, OptimConfig, fit_nonparametric, fit_parametric
+from .optimize import MODES, OptimConfig, check_labels, fit_nonparametric, fit_parametric
 from .sampling import DEFAULT_M, ScheduleSpec, random_batch
 from .svgplot import emit_svg
 
@@ -195,11 +195,10 @@ def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
     """One full training run on `ds` and its kNN graph (read-only, so they
     may be shared); returns the quality report dict."""
     spec, optim = _specs(cfg)
-    if spec.kind in SUPERVISED_KINDS:
-        if ds.labels is None:
-            raise UsageError(f"loss {spec.kind!r} requires labeled data")
-        if len(np.unique(ds.labels)) < 2:
-            raise UsageError(f"loss {spec.kind!r} requires at least two classes")
+    try:
+        check_labels(ds, spec)
+    except CneError as exc:
+        raise UsageError(str(exc)) from exc
     out = Path(cfg["out"] or "out")
     out.mkdir(parents=True, exist_ok=True)
 

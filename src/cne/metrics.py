@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import Dataset, Embedding
 from .errors import CneError
-from .neighbor_graph import knn_indices, row_blocks
+from .neighbor_graph import knn_indices, map_row_blocks
 
 DEFAULT_K_RECALL = 15
 DEFAULT_K_ACCURACY = 10
@@ -83,7 +83,8 @@ def silhouette(labels, emb: Embedding) -> float:
     """Mean silhouette coefficient with Euclidean embedding distances.
 
     Row blocks against a coordinate-major copy grouped by class: (x_0-g_0)^2,
-    then += (x_c-g_c)^2 per later c, in two buffers allocated once."""
+    then += (x_c-g_c)^2 per later c, in the two buffers of
+    :func:`~cne.neighbor_graph.map_row_blocks`."""
     if labels is None:
         raise CneError("silhouette requires labels")
     labels = np.asarray(labels)
@@ -98,14 +99,14 @@ def silhouette(labels, emb: Embedding) -> float:
     grouped = np.ascontiguousarray(x[np.argsort(dense, kind="stable")].T)
     bounds = np.concatenate(([0], np.cumsum(counts)))
     terms = np.empty(n)
-    blocks = list(row_blocks(n, 16 * n))
-    dist_buf, dc_buf = np.empty((2, blocks[0].stop, n))
-    for block in blocks:
+
+    def block_terms(block, buffers):
+        dist, dc = buffers
         xb = x[block]
-        dist = np.subtract(xb[:, 0, None], grouped[0], out=dist_buf[:len(xb)])
+        np.subtract(xb[:, 0, None], grouped[0], out=dist)
         dist *= dist
         for c in range(1, emb.d):
-            dc = np.subtract(xb[:, c, None], grouped[c], out=dc_buf[:len(xb)])
+            np.subtract(xb[:, c, None], grouped[c], out=dc)
             dc *= dc
             dist += dc
         np.sqrt(dist, out=dist)
@@ -119,6 +120,8 @@ def silhouette(labels, emb: Embedding) -> float:
         b = means.min(axis=1)
         denom = np.maximum(a, b)
         terms[block] = np.divide(b - a, denom, out=np.zeros_like(a), where=denom > 0.0)
+
+    map_row_blocks(block_terms, n, 16 * n, (np.float64, np.float64))
     total = 0.0
     for term in terms.tolist():  # one by one, in index order
         total += term

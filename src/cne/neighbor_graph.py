@@ -10,6 +10,10 @@ metrics use it too.
 
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .data import Dataset
@@ -17,10 +21,14 @@ from .errors import GraphError
 
 DEFAULT_K = 15
 
-# Size of the largest float64 temporary of one block of rows (an N-wide
-# distance row, or a D-wide difference row per candidate). Fixes the number
-# of rows per block, so working memory is O(BLOCK_BYTES), not O(N^2).
-BLOCK_BYTES = 16 << 20
+# Size of the largest float64 temporaries of the blocks of rows in flight,
+# all workers together (an N-wide distance row, or a D-wide difference row
+# per candidate). Fixes the number of rows per block, so working memory is
+# O(BLOCK_BYTES), not O(N^2).
+BLOCK_BYTES = 8 << 20
+# Threads that work on row blocks at once: the cores this process may use.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 class NeighborGraph:
@@ -58,10 +66,47 @@ class NeighborGraph:
 
 
 def row_blocks(n: int, row_bytes: int):
-    """Consecutive slices covering range(n), of max(1, BLOCK_BYTES // row_bytes) rows."""
-    step = max(1, BLOCK_BYTES // row_bytes)
+    """Consecutive slices covering range(n): one, if all n rows fit in
+    BLOCK_BYTES, else of a WORKERS-th of BLOCK_BYTES (at least one row) each."""
+    step = max(1, n if n * row_bytes <= BLOCK_BYTES else BLOCK_BYTES // (row_bytes * WORKERS))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
+
+
+def map_row_blocks(fn, n: int, row_bytes: int, dtypes) -> None:
+    """Call fn(block, buffers) for each slice of row_blocks(n, row_bytes), on
+    up to WORKERS threads; a single block runs inline, in this thread.
+
+    `buffers` holds one block-rows x n array per dtype in `dtypes`, cut to the
+    block's rows. Every worker's set is allocated once, here, and handed out
+    through a queue. `fn` must write only the block's own rows of its outputs,
+    so the result does not depend on the worker count.
+    """
+    blocks = list(row_blocks(n, row_bytes))
+    workers = min(WORKERS, len(blocks))
+    free = queue.SimpleQueue()
+    rows = blocks[0].stop
+    sizes = [rows * n * np.dtype(dtype).itemsize for dtype in dtypes]
+    for _ in range(workers):
+        # One allocation per worker, cut by dtype: glibc gave separate arrays
+        # back to the system and faulted them in again on every call, which
+        # doubled the time of silhouette at N=600.
+        cuts = np.split(np.empty(sum(sizes), np.uint8), np.cumsum(sizes)[:-1])
+        free.put([cut.view(dtype).reshape(rows, n) for cut, dtype in zip(cuts, dtypes)])
+
+    def run(block):
+        buffers = free.get()
+        try:
+            fn(block, [buf[:block.stop - block.start] for buf in buffers])
+        finally:
+            free.put(buffers)
+
+    if workers == 1:
+        for block in blocks:
+            run(block)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(run, blocks))  # raises the first exception of a block
 
 
 def knn_indices(points, k: int):
@@ -72,8 +117,9 @@ def knn_indices(points, k: int):
     that difference form, with ties toward the smaller index.
 
     Per block of rows, GEMM distances on a mean-centred copy screen the
-    candidates; only those are recomputed exactly and sorted. Block buffers
-    are allocated once: memory is O(BLOCK_BYTES) beyond the input and output.
+    candidates; only those are recomputed exactly and sorted. The blocks run
+    on :func:`map_row_blocks`, whose buffers are allocated once: memory is
+    O(BLOCK_BYTES) beyond the input and output.
     """
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
@@ -90,22 +136,20 @@ def knn_indices(points, k: int):
     margin = 4.0 * (d + 8) * np.finfo(np.float64).eps * (sq + sq.max())
     minus_2ct = -2.0 * centred.T
     out = np.empty((n, k), dtype=np.int64)
-    blocks = list(row_blocks(n, 8 * n))
-    screen_buf, ranked_buf = np.empty((2, blocks[0].stop, n))
-    keep_buf = np.empty((blocks[0].stop, n), dtype=bool)
-    for block in blocks:
+
+    def search(block, buffers):
+        screen, ranked, keep = buffers
         rows = np.arange(block.start, block.stop)
         local = rows - block.start
         # |c_j|^2 - 2 c_i.c_j: the squared distance less |c_i|^2, which is
         # constant along a row and so changes no row's order.
-        screen = np.matmul(centred[block], minus_2ct, out=screen_buf[:rows.size])
+        np.matmul(centred[block], minus_2ct, out=screen)
         screen += sq
         screen[local, rows] = np.inf
-        ranked = ranked_buf[:rows.size]
         ranked[...] = screen
         ranked.partition(k - 1, axis=1)
         kth = ranked[:, k - 1]
-        keep = np.less_equal(screen, (kth + margin[block])[:, None], out=keep_buf[:rows.size])
+        np.less_equal(screen, (kth + margin[block])[:, None], out=keep)
         keep[local, rows] = False  # even where overflow made kth infinite
         r, cols = np.divmod(np.flatnonzero(keep), n)
         d2 = np.empty(cols.size)
@@ -116,6 +160,8 @@ def knn_indices(points, k: int):
         counts = np.bincount(r, minlength=rows.size)
         first = np.cumsum(counts) - counts
         out[block] = cols[first[:, None] + np.arange(k)]
+
+    map_row_blocks(search, n, 8 * n, (np.float64, np.float64, bool))
     return out
 
 

@@ -63,11 +63,13 @@ class OptimConfig:
 def pca_init(points, d: int, scale: float = PCA_INIT_SCALE):
     """Project onto the top-d principal directions and rescale each output
     dimension to standard deviation `scale`. Sign-fixed so the result is a
-    pure function of the input. PCA supplies at most min(D, N) columns."""
+    pure function of the input. Centred data has rank at most min(D, N - 1),
+    so PCA supplies at most that many columns."""
     x = points - points.mean(axis=0)
+    supplied = min(x.shape[1], x.shape[0] - 1)
+    if d > supplied:
+        raise CneError(f"embedding dimension {d} exceeds the {supplied} columns PCA can supply")
     _, _, vt = np.linalg.svd(x, full_matrices=False)
-    if d > vt.shape[0]:
-        raise CneError(f"embedding dimension {d} exceeds the {vt.shape[0]} columns PCA can supply")
     comps = vt[:d]
     for r in range(comps.shape[0]):
         lead = np.argmax(np.abs(comps[r]))
@@ -79,6 +81,16 @@ def pca_init(points, d: int, scale: float = PCA_INIT_SCALE):
     return z * (scale / sd)
 
 
+def check_labels(data: Dataset, spec: LossSpec) -> None:
+    """Raise CneError unless `data` can train `spec`: a supervised loss needs
+    labels with at least two classes."""
+    if spec.supervised:
+        if data.labels is None:
+            raise CneError(f"loss {spec.kind!r} requires labels")
+        if len(np.unique(data.labels)) < 2:
+            raise CneError(f"loss {spec.kind!r} requires at least two classes")
+
+
 def _sgd(data, graph, spec, cfg, params, what, forward):
     """The training loop of both modes: SGD with momentum on the arrays
     `params`, updated in place. Returns the training log.
@@ -88,11 +100,7 @@ def _sgd(data, graph, spec, cfg, params, what, forward):
     clipped loss gradient on those coordinates to one gradient per array of
     `params`.
     """
-    if spec.supervised:
-        if data.labels is None:
-            raise CneError(f"loss {spec.kind!r} requires labels")
-        if len(np.unique(data.labels)) < 2:
-            raise CneError(f"loss {spec.kind!r} requires at least two classes")
+    check_labels(data, spec)
     sampler = Sampler(graph=graph, data=data, batch_size=cfg.batch_size, m=spec.m,
                       seed=cfg.seed, need_midnears=spec.kind in MIDNEAR_KINDS,
                       need_labels=spec.supervised)

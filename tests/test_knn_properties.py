@@ -1,8 +1,10 @@
 """Property tests of the blocked kNN search, the graph and the quality
 metrics against the naive per-pair references, on inputs chosen to break a
 screened search: duplicate and near-duplicate points, exact ties on integer
-grids, k = N-1, points far from the origin, and blocks smaller than N rows."""
+grids, k = N-1, points far from the origin, blocks smaller than N rows, and
+one to three worker threads."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,7 @@ from test_neighbor_graph import naive_knn_graph_edges, naive_neighbors
 SETTINGS = settings(max_examples=60, deadline=None)
 # One row per block, a few rows per block, and the default.
 BLOCK_BYTES = st.sampled_from([1, 2000, neighbor_graph.BLOCK_BYTES])
+WORKERS = (1, 2, 3)
 
 
 def make_points(rng, shape, n, d):
@@ -51,10 +54,10 @@ def problems(draw, min_n=2, max_n=40, dim=None):
 @given(problems(), BLOCK_BYTES)
 def test_knn_indices_match_naive(problem, block_bytes):
     points, k, _ = problem
-    with mock.patch.object(neighbor_graph, "BLOCK_BYTES", block_bytes):
-        got = knn_indices(points, k)
     want = [naive_neighbors(points, i, k) for i in range(len(points))]
-    assert got.tolist() == want
+    for workers in WORKERS:
+        with mock.patch.multiple(neighbor_graph, BLOCK_BYTES=block_bytes, WORKERS=workers):
+            assert knn_indices(points, k).tolist() == want
 
 
 @SETTINGS
@@ -118,3 +121,32 @@ def test_quality_report_with_input_neighbors(high, low, block_bytes):
         assert quality_report(ds, emb, k_recall=k, input_neighbors=None) == want
         with pytest.raises(CneError, match="rows for"):  # a search of other data
             quality_report(ds, emb, k_recall=k, input_neighbors=shared[:-1])
+
+
+@SETTINGS
+@given(problems(min_n=4), BLOCK_BYTES)
+def test_silhouette_same_bits_on_every_worker_count(problem, block_bytes):
+    coords, _, rng = problem
+    labels = rng.permutation(np.arange(len(coords)) % min(3, len(coords) // 2))
+    values = set()
+    for workers in WORKERS:
+        with mock.patch.multiple(neighbor_graph, BLOCK_BYTES=block_bytes, WORKERS=workers):
+            values.add(silhouette(labels, Embedding(coords)).hex())
+    assert len(values) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_knn_indices_memory_is_bounded_by_block_bytes(workers):
+    # All workers' blocks together stay within BLOCK_BYTES of N-wide rows:
+    # three such buffers (two float64, one bool) and the candidates' arrays
+    # come to about 2.5 x BLOCK_BYTES here, against 72 MB for one N x N
+    # distance matrix.
+    points = np.random.default_rng(0).normal(size=(3000, 20))
+    with mock.patch.object(neighbor_graph, "WORKERS", workers):
+        tracemalloc.start()
+        try:
+            out = knn_indices(points, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak - out.nbytes <= 3 * neighbor_graph.BLOCK_BYTES

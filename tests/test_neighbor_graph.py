@@ -1,9 +1,15 @@
-"""Symmetric kNN graph construction and the uniform edge affinities."""
+"""Symmetric kNN graph construction, the uniform edge affinities, and the
+threaded row blocks behind the search."""
+
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from cne import Dataset, GraphError, affinity, knn_graph
+from cne import Dataset, GraphError, affinity, knn_graph, neighbor_graph
+from cne.neighbor_graph import map_row_blocks
 
 
 def naive_neighbors(points, i, k):
@@ -130,3 +136,35 @@ def test_affinity_sums_to_one():
     total = sum(affinity(g, i, j) for i in range(30) for j in range(30) if i != j)
     # Each undirected edge is visited twice in the ordered double loop.
     assert abs(total / 2.0 - 1.0) < 1e-12
+
+
+def test_row_blocks_give_each_worker_its_own_buffers():
+    # One row per block, more workers than cores and a short switch
+    # interval: a block whose buffer another worker wrote to meanwhile sees
+    # it, and every row must be visited exactly once.
+    n = 64
+    visits = np.zeros(n, dtype=np.int64)
+
+    def fn(block, buffers):
+        (buf,) = buffers
+        for _ in range(20):
+            buf.fill(block.start)
+            if not np.all(buf == block.start):
+                raise AssertionError(f"block {block.start}: buffer shared with another worker")
+        visits[block] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.multiple(neighbor_graph, BLOCK_BYTES=64 * n, WORKERS=8):
+            map_row_blocks(fn, n, 8 * n, (np.int64,))
+    finally:
+        sys.setswitchinterval(interval)
+    assert visits.tolist() == [1] * n
+
+
+def test_one_row_block_runs_inline():
+    threads = set()
+    with mock.patch.object(neighbor_graph, "WORKERS", 2):
+        map_row_blocks(lambda block, buffers: threads.add(threading.get_ident()), 10, 80, (bool,))
+    assert threads == {threading.get_ident()}

@@ -8,7 +8,7 @@ from cne import (
     default_spec, fit_nonparametric, fit_parametric, knn_accuracy, knn_graph, make_blobs,
     transform,
 )
-from cne.losses import evaluate
+from cne.losses import SUPERVISED_KINDS, evaluate
 from cne.optimize import pca_init
 
 
@@ -45,12 +45,15 @@ def test_pca_init_shape_and_scale():
 
 
 def test_pca_init_rejects_more_columns_than_pca_supplies():
-    # PCA supplies min(D, N) columns; padding more with zeros would give
-    # columns that never move, since their gradient is exactly zero.
+    # Centred data has rank at most min(D, N - 1), so PCA supplies that many
+    # columns; padding more with zeros would give columns that never move,
+    # since their gradient is exactly zero, and at d = N <= D the last one
+    # would be rounding noise scaled up to the init's spread.
     rng = np.random.default_rng(0)
     assert pca_init(rng.normal(size=(90, 4)), 4).shape == (90, 4)
-    for shape, d in (((90, 4), 5), ((3, 7), 4)):
-        with pytest.raises(CneError, match=f"dimension {d} exceeds the {min(shape)} columns"):
+    assert pca_init(rng.normal(size=(3, 7)), 2).shape == (3, 2)
+    for shape, d, supplied in (((90, 4), 5, 4), ((3, 7), 4, 2), ((3, 7), 3, 2)):
+        with pytest.raises(CneError, match=f"dimension {d} exceeds the {supplied} columns"):
             pca_init(rng.normal(size=shape), d)
 
 
@@ -139,6 +142,14 @@ def test_supervised_loss_requires_labels():
     g = knn_graph(ds, k=5)
     with pytest.raises(CneError):
         fit_nonparametric(ds, g, LossSpec(kind="supcon"), OptimConfig(epochs=1))
+
+
+@pytest.mark.parametrize("kind", SUPERVISED_KINDS)
+def test_supervised_loss_on_one_class_raises(kind):
+    ds = make_blobs(30, 1, 4, 12.0, 0)
+    g = knn_graph(ds, k=5)
+    with pytest.raises(CneError, match="two classes"):
+        fit_nonparametric(ds, g, LossSpec(kind=kind), OptimConfig(epochs=1))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

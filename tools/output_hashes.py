@@ -11,9 +11,11 @@ listings with `diff`.
 
 The runs: the determinism criterion's config; W1 data (600 x 10 blobs) for
 each of the 11 loss kinds; parametric umap on W1 data, which also writes
-`encoder.bin`; and a two-thread `bench` grid. `train_log.jsonl` is hashed
-without its `wall_ms` field. A run that fails prints `exit <code>` and the
-last line of its standard error instead of hashes.
+`encoder.bin`; a two-thread `bench` grid; and one-epoch trimap on 5000 x 50
+blobs, the one run whose searches span several row blocks, and so several
+threads. `train_log.jsonl` is hashed without its `wall_ms` field. A run that
+fails prints `exit <code>` and the last line of its standard error instead
+of hashes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ LOSS_KINDS = ("tsne", "umap", "nce", "trimap", "pacmap", "infonce",
               "sscl", "snn", "supcon", "sup_snn", "tscne")
 W1 = "blobs:n_per_class=200,n_classes=3,dim=10,seed=0"
 CRITERION_7 = "blobs:n_per_class=60,n_classes=3,dim=8,separation=15,seed=2"
+MULTI_BLOCK = "blobs:n_per_class=500,n_classes=10,dim=50"
 
 RUNS = {
     "criterion7": ["embed", "--data", CRITERION_7, "--loss", "umap", "--epochs", "20",
@@ -40,6 +43,7 @@ RUNS = {
     "w1_parametric_umap": ["embed", "--data", W1, "--loss", "umap", "--mode", "parametric"],
     "bench_jobs2": ["bench", "--data", W1, "--losses", "umap,trimap,supcon,tscne",
                     "--seeds", "0,1", "--epochs", "15", "--jobs", "2"],
+    "multi_block_trimap": ["embed", "--data", MULTI_BLOCK, "--loss", "trimap", "--epochs", "1"],
 }
 
 
