@@ -191,14 +191,19 @@ def _specs(cfg: dict) -> tuple[LossSpec, OptimConfig]:
     return spec, OptimConfig(**_kwargs(OptimConfig, cfg))
 
 
-def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
-    """One full training run on `ds` and its kNN graph (read-only, so they
-    may be shared); returns the quality report dict."""
-    spec, optim = _specs(cfg)
+def _check_labels(ds: Dataset, spec: LossSpec) -> None:
+    """check_labels; data that cannot train the loss is a usage error."""
     try:
         check_labels(ds, spec)
     except CneError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
+    """One full training run on `ds` and its kNN graph (read-only, so they
+    may be shared); returns the quality report dict."""
+    spec, optim = _specs(cfg)
+    _check_labels(ds, spec)
     out = Path(cfg["out"] or "out")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -236,8 +241,9 @@ def cmd_gen(args) -> int:
 def cmd_embed(args) -> int:
     config = _load_config_file(args.config) if args.config else {}
     cfg = _resolve(args, config)
-    _specs(cfg)  # an invalid setting fails before the data is read
+    spec, _ = _specs(cfg)  # an invalid setting fails before the data is read
     ds = _load_dataset(cfg)
+    _check_labels(ds, spec)  # and unusable labels before the graph is built
     report = run_embed(cfg, ds, knn_graph(ds, k=cfg["k"]))
     printable = {k: v for k, v in report.items() if v is not None}
     print(json.dumps(printable, sort_keys=True))

@@ -15,6 +15,11 @@ import numpy as np
 from .errors import DataError
 
 
+# Rows that write_table formats per write: its Python floats and text stay
+# a few MB however large the table.
+WRITE_ROWS = 4096
+
+
 class Dataset:
     """Immutable collection of N points in R^D with optional labels.
 
@@ -88,34 +93,19 @@ def _looks_numeric(cell: str) -> bool:
 
 def densify_labels(raw):
     """Map raw label values to dense integers 0..C-1 in first-appearance order."""
-    seen: dict = {}
-    out = np.empty(len(raw), dtype=np.int64)
-    for i, v in enumerate(raw):
-        if v not in seen:
-            seen[v] = len(seen)
-        out[i] = seen[v]
-    return out
+    _, first, inverse = np.unique(np.array(raw, dtype=object), return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.reshape(-1)]
 
 
-def load_csv(path, label_column=None) -> Dataset:
-    """Load a CSV file of real-valued rows with an optional label column.
-
-    The header row is detected automatically (any non-numeric cell in the
-    first row). ``label_column`` selects the class column by header name or
-    by integer index; name selection requires a header.
-    """
-    try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+def _layout(path, rows, label_column):
+    """(header, label index, width) of a CSV file from `rows`, its first two
+    non-empty rows (fewer if it has fewer)."""
     if not rows:
         raise DataError(f"{path}: empty file")
-
-    header = None
-    if any(not _looks_numeric(c) for c in rows[0]):
-        header = rows[0]
-        rows = rows[1:]
+    header = rows[0] if any(not _looks_numeric(c) for c in rows[0]) else None
     if isinstance(label_column, str):
         if header is None:
             raise DataError("label column selected by name but the file has no header")
@@ -128,16 +118,80 @@ def load_csv(path, label_column=None) -> Dataset:
     else:
         label_idx = None
 
-    if not rows:
+    data = rows[header is not None:]
+    if not data:
         raise DataError(f"{path}: no data rows")
-    width = len(rows[0])
+    width = len(data[0])
     if label_idx is not None and not (-width <= label_idx < width):
         raise DataError(f"label column index {label_idx} out of range for width {width}")
     if label_idx is not None and label_idx < 0:
         label_idx += width
+    return header, label_idx, width
+
+
+def _dataset(path, points, raw_labels) -> Dataset:
+    if len(points) < 2:
+        raise DataError(f"{path}: need at least 2 rows, got {len(points)}")
+    return Dataset(points, None if raw_labels is None else densify_labels(raw_labels))
+
+
+def load_csv(path, label_column=None) -> Dataset:
+    """Load a CSV file of real-valued rows with an optional label column.
+
+    The header row is detected automatically (any non-numeric cell in the
+    first row). ``label_column`` selects the class column by header name or
+    by integer index; name selection requires a header.
+
+    numpy's reader parses the file in one pass. A file it rejects, or one
+    with a non-finite value, is read again by :func:`_load_rows`, which
+    names the first bad row and column.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(iter(fh.readline, ""))  # readline keeps fh.tell() usable
+            rows = (row for row in reader if row)
+            first = next(rows, None)
+            after_first = fh.tell()
+            second = next(rows, None)
+            header, label_idx, _ = _layout(
+                path, [r for r in (first, second) if r is not None], label_column)
+            fh.seek(0 if header is None else after_first)
+            raw_labels = None if label_idx is None else []
+
+            def keep_label(cell):  # the label text, and 0.0 in its column
+                raw_labels.append(cell.strip())
+                return 0.0
+
+            # Every column, not `usecols`, which accepts rows of any width;
+            # and this handle, not the path, whose line ends numpy translates.
+            converters = None if label_idx is None else {label_idx: keep_label}
+            try:
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                   converters=converters, ndmin=2)
+            except ValueError:
+                table = None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if table is None or not np.isfinite(table).all():
+        return _load_rows(path, label_column)
+    if label_idx is not None:
+        table = np.delete(table, label_idx, axis=1)
+    return _dataset(path, table, raw_labels)
+
+
+def _load_rows(path, label_column=None) -> Dataset:
+    """:func:`load_csv` by a loop over the rows of ``csv.reader``; Python's
+    ``float`` parses each cell, and the first bad cell raises."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    header, label_idx, width = _layout(path, rows[:2], label_column)
+    rows = rows[header is not None:]
 
     points = []
-    raw_labels = []
+    raw_labels = None if label_idx is None else []
     for r, row in enumerate(rows):
         if len(row) != width:
             raise DataError(f"row {r}: expected {width} cells, got {len(row)} (ragged file)")
@@ -152,11 +206,7 @@ def load_csv(path, label_column=None) -> Dataset:
             vals = [_parse_cell(cell.strip(), r, header[c] if header else c)
                     for c, cell in enumerate(row) if c != label_idx]
         points.append(vals)
-
-    if len(points) < 2:
-        raise DataError(f"{path}: need at least 2 rows, got {len(points)}")
-    labels = densify_labels(raw_labels) if label_idx is not None else None
-    return Dataset(np.asarray(points), labels)
+    return _dataset(path, np.asarray(points), raw_labels)
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -167,14 +217,16 @@ def write_csv(dataset: Dataset, path) -> None:
 def write_table(path, values, labels, names, ids=False) -> None:
     """CSV of `values` as lossless 17-significant-digit reals under `names`, after
     an `id` column with `ids`, before a `label` column when `labels` is not None."""
+    row = ",".join(["%d"] * ids + ["%.17g"] * values.shape[1]
+                   + ["%d"] * (labels is not None)) + "\r\n"  # csv.writer's line end
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] * ids + names + ["label"] * (labels is not None))
-        for i, row in enumerate(values):
-            cells = [str(i)] * ids + [f"{v:.17g}" for v in row]
+        csv.writer(fh).writerow(["id"] * ids + names + ["label"] * (labels is not None))
+        for start in range(0, len(values), WRITE_ROWS):
+            stop = start + WRITE_ROWS
+            columns = [range(start, stop)] * ids + values[start:stop].T.tolist()
             if labels is not None:
-                cells.append(str(int(labels[i])))
-            writer.writerow(cells)
+                columns.append(np.asarray(labels[start:stop]).tolist())
+            fh.write("".join(row % cells for cells in zip(*columns)))
 
 
 def standardize(dataset: Dataset) -> Dataset:

@@ -393,7 +393,9 @@ def test_degenerate_settings_exit_with_a_message(tmp_path, capsys, argv, ini):
 
 
 @pytest.mark.parametrize("kind", SUPERVISED_KINDS)
-def test_supervised_loss_on_one_class_exits_2(tmp_path, capsys, kind):
+def test_supervised_loss_on_one_class_exits_2(tmp_path, capsys, monkeypatch, kind):
+    # The labels are checked before the kNN graph is built.
+    monkeypatch.setattr(cli, "knn_graph", lambda *a, **kw: pytest.fail("graph built"))
     argv = ["embed", "--data", "blobs:n_per_class=30,n_classes=1,dim=4", "--loss", kind,
             "--out", str(tmp_path / "out"), *FAST]
     assert run(argv) == 2

@@ -11,11 +11,15 @@ listings with `diff`.
 
 The runs: the determinism criterion's config; W1 data (600 x 10 blobs) for
 each of the 11 loss kinds; parametric umap on W1 data, which also writes
-`encoder.bin`; a two-thread `bench` grid; and one-epoch trimap on 5000 x 50
+`encoder.bin`; a two-thread `bench` grid; one-epoch trimap on 5000 x 50
 blobs, the one run whose searches span several row blocks, and so several
-threads. `train_log.jsonl` is hashed without its `wall_ms` field. A run that
-fails prints `exit <code>` and the last line of its standard error instead
-of hashes.
+threads; and the CSV path: `gen` writes W1 data to a file, `embed` reads it
+back, and `plot` reads the `embedding.csv` that `embed` wrote. A run is one
+or more `cne` commands, run in the run's directory so that no recorded path
+depends on OUT.
+`train_log.jsonl` is hashed without its `wall_ms` field. A run that fails
+prints `exit <code>` and the last line of its standard error instead of
+hashes.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ W1 = "blobs:n_per_class=200,n_classes=3,dim=10,seed=0"
 CRITERION_7 = "blobs:n_per_class=60,n_classes=3,dim=8,separation=15,seed=2"
 MULTI_BLOCK = "blobs:n_per_class=500,n_classes=10,dim=50"
 
-RUNS = {
+COMMANDS = {
     "criterion7": ["embed", "--data", CRITERION_7, "--loss", "umap", "--epochs", "20",
                    "--seed", "11", "--deterministic"],
     **{f"w1_{kind}": ["embed", "--data", W1, "--loss", kind] for kind in LOSS_KINDS},
@@ -44,6 +48,14 @@ RUNS = {
     "bench_jobs2": ["bench", "--data", W1, "--losses", "umap,trimap,supcon,tscne",
                     "--seeds", "0,1", "--epochs", "15", "--jobs", "2"],
     "multi_block_trimap": ["embed", "--data", MULTI_BLOCK, "--loss", "trimap", "--epochs", "1"],
+}
+RUNS = {
+    **{name: [[*args, "--out", "."]] for name, args in COMMANDS.items()},
+    "w1_csv": [
+        ["gen", W1, "--out", "w1.csv"],
+        ["embed", "--data", "w1.csv", "--label-column", "label", "--out", "."],
+        ["plot", "--data", "embedding.csv", "--skip-id-column", "--out", "embedding_plot.svg"],
+    ],
 }
 
 
@@ -58,14 +70,16 @@ def _digest(path: Path) -> str:
 
 def _run(src: Path, out: Path, name: str) -> list[str]:
     shutil.rmtree(out / name, ignore_errors=True)  # hash only this run's files
+    (out / name).mkdir()
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    proc = subprocess.run([sys.executable, "-m", "cne.cli", *RUNS[name], "--out", str(out / name)],
-                          env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        last = (proc.stderr.strip().splitlines() or [""])[-1]
-        return [f"exit {proc.returncode}  {name}: {last}"]
+    for args in RUNS[name]:
+        proc = subprocess.run([sys.executable, "-m", "cne.cli", *args], cwd=out / name,
+                              env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            last = (proc.stderr.strip().splitlines() or [""])[-1]
+            return [f"exit {proc.returncode}  {name}: {last}"]
     files = sorted(p for p in (out / name).rglob("*") if p.is_file())
     return [f"{_digest(p)}  {p.relative_to(out)}" for p in files]
 
