@@ -323,6 +323,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     kinds = _loss_list(args.losses) if args.losses else list(LOSS_KINDS)
     rng = np.random.default_rng(args.seed)
     n, d, b, m = 64, 2, 8, args.m

@@ -202,8 +202,8 @@ def _load_rows(path, label_column=None) -> Dataset:
             vals = list(map(float, cells))
             if not math.isfinite(sum(vals)):  # a non-finite cell, or an overflowing sum
                 raise ValueError
-        except ValueError:  # report the row's first bad cell, if any
-            vals = [_parse_cell(cell.strip(), r, header[c] if header else c)
+        except ValueError:  # report the row's first bad cell, by name if the header has one
+            vals = [_parse_cell(cell.strip(), r, header[c] if c < len(header or ()) else c)
                     for c, cell in enumerate(row) if c != label_idx]
         points.append(vals)
     return _dataset(path, np.asarray(points), raw_labels)

@@ -25,7 +25,6 @@ LOSS_KINDS = (
     "sscl", "snn", "supcon", "sup_snn", "tscne",
 )
 SUPERVISED_KINDS = ("supcon", "sup_snn", "tscne")
-TEMPERATURE_KINDS = ("sscl", "snn", "supcon", "sup_snn")
 MIDNEAR_KINDS = ("trimap", "pacmap", "tscne")
 
 # Per-loss hyperparameter defaults, applied when the caller does not set the
@@ -143,15 +142,12 @@ class _Accumulator:
     def add_sq(self, i, j, coef, diff):
         """coef = dL/d(d^2) per pair; chain through d^2 = ||z_i - z_j||^2,
         with diff = z_i - z_j as _phi returns it."""
-        coef = np.asarray(coef, dtype=np.float64).ravel()
-        self._add(np.asarray(i).ravel(), np.asarray(j).ravel(), (2.0 * coef)[:, None] * diff)
+        self._add(i, j, (2.0 * coef)[:, None] * diff)
 
     def add_dist(self, i, j, coef, diff, dist):
         """coef = dL/d(dist) per pair; chain through dist = ||z_i - z_j||,
         with diff and dist as _dist returns them."""
-        coef = np.asarray(coef, dtype=np.float64).ravel()
-        self._add(np.asarray(i).ravel(), np.asarray(j).ravel(),
-                  coef[:, None] * (diff / dist[:, None]))
+        self._add(i, j, coef[:, None] * (diff / dist[:, None]))
 
     def result(self):
         """(dense N x d gradient, the row of every contribution)."""
@@ -168,7 +164,6 @@ class _Accumulator:
 
 def _diff(coords, i, j):
     # take(): the same rows as coords[i], gathered several times faster.
-    i, j = np.asarray(i).ravel(), np.asarray(j).ravel()
     return coords.take(i, axis=0) - coords.take(j, axis=0)
 
 
@@ -200,9 +195,7 @@ def _lse_rows(a):
 
 
 def _segments(sizes):
-    starts = np.zeros(len(sizes), dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    return starts
+    return np.cumsum(sizes) - sizes
 
 
 def _segment_lse(a_flat, sizes):
@@ -212,7 +205,7 @@ def _segment_lse(a_flat, sizes):
     w = np.exp(a_flat - mx[seg])
     tot = np.add.reduceat(w, starts)
     lse = mx + np.log(tot)
-    return lse, w / tot[seg], seg
+    return lse, w / tot[seg]
 
 
 # --- Cauchy-kernel losses ---------------------------------------------------
@@ -241,70 +234,62 @@ def _loss_umap(batch, coords, spec, w_u, acc):
     return value
 
 
-def _loss_trimap(batch, coords, spec, w_u, acc):
-    i, j = batch.anchors, batch.positives
-    b = len(i)
+def _triplets(acc, coords, i, j, k, w, b, log):
+    """The triplet term -w/b * sum u/(u+v), or of log(u/(u+v)) when `log`, with
+    u = phi(i[r], j[r]) and v = phi(i[r], k[r, c]) for every column c of k. Adds
+    its gradient to acc and returns its value."""
+    m = k.shape[1]
+    i_k, j_k = np.repeat(i, m), k.ravel()
     diff_p, _, u = _phi(coords, i, j)
-    i_n, j_n = _negatives(batch)
-    diff_n, _, v_flat = _phi(coords, i_n, j_n)
-    v = v_flat.reshape(b, batch.m)
+    diff_n, _, v_flat = _phi(coords, i_k, j_k)
+    v = v_flat.reshape(b, m)
     denom = u[:, None] + v
-    ratio = u[:, None] / denom
-    if spec.use_log_ratio:
-        value = -np.log(ratio).sum() / b
-        du = -(batch.m / u - (1.0 / denom).sum(axis=1)) / b
-        dv = (1.0 / denom) / b
+    if log:
+        value = -w * np.log(u[:, None] / denom).sum() / b
+        du = -w * (m / u - (1.0 / denom).sum(axis=1)) / b
+        dv = w * (1.0 / denom) / b
     else:
-        value = -ratio.sum() / b
-        du = -(v / denom ** 2).sum(axis=1) / b
-        dv = (u[:, None] / denom ** 2) / b
+        value = -w * (u[:, None] / denom).sum() / b
+        du = -w * (v / denom ** 2).sum(axis=1) / b
+        dv = w * (u[:, None] / denom ** 2) / b
     acc.add_sq(i, j, du * (-u ** 2), diff_p)
-    acc.add_sq(i_n, j_n, dv.ravel() * (-v_flat ** 2), diff_n)
-    if w_u != 0.0:
-        if batch.midnears is None or batch.midnears.shape[1] < 2:
-            raise SamplingError("trimap mid-near term needs >= 2 mid-near indices per anchor")
-        jm, km = batch.midnears[:, 0], batch.midnears[:, 1]
-        diff_j, _, um = _phi(coords, i, jm)
-        diff_k, _, vm = _phi(coords, i, km)
-        dm = um + vm
-        if spec.use_log_ratio:
-            value += -w_u * np.log(um / dm).sum() / b
-            dum = -w_u * (1.0 / um - 1.0 / dm) / b
-            dvm = w_u * (1.0 / dm) / b
-        else:
-            value += -w_u * (um / dm).sum() / b
-            dum = -w_u * (vm / dm ** 2) / b
-            dvm = w_u * (um / dm ** 2) / b
-        acc.add_sq(i, jm, dum * (-um ** 2), diff_j)
-        acc.add_sq(i, km, dvm * (-vm ** 2), diff_k)
+    acc.add_sq(i_k, j_k, dv.ravel() * (-v_flat ** 2), diff_n)
     return value
 
 
+def _loss_trimap(batch, coords, spec, w_u, acc):
+    i, b, log = batch.anchors, batch.size, spec.use_log_ratio
+    value = _triplets(acc, coords, i, batch.positives, batch.negatives, 1.0, b, log)
+    if w_u != 0.0:
+        mid = batch.midnears
+        if mid is None or mid.shape[1] < 2:
+            raise SamplingError("trimap mid-near term needs >= 2 mid-near indices per anchor")
+        # The same ratio, the first mid-near as inlier and the second as outlier.
+        value += _triplets(acc, coords, i, mid[:, 0], mid[:, 1:2], w_u, b, log)
+    return value
+
+
+def _bounded(acc, coords, i, j, coef):
+    """Adds coef * phi^2/(phi+1)^2 per pair as dL/d(d^2), the gradient of
+    -coef * phi/(phi+1), and returns phi/(phi+1)."""
+    diff, _, phi = _phi(coords, i, j)
+    acc.add_sq(i, j, coef * phi ** 2 / (phi + 1.0) ** 2, diff)
+    return phi / (phi + 1.0)
+
+
 def _loss_pacmap(batch, coords, spec, w_u, acc):
-    i, j = batch.anchors, batch.positives
+    i = batch.anchors
     b = len(i)
     w_p = spec.schedule.w_p
-    diff_p, _, phi_p = _phi(coords, i, j)
-    value = -w_p * (phi_p / (phi_p + 1.0)).sum() / b
-    acc.add_sq(i, j, (w_p / b) * phi_p ** 2 / (phi_p + 1.0) ** 2, diff_p)
+    value = -w_p * _bounded(acc, coords, i, batch.positives, w_p / b).sum() / b
     if w_u != 0.0:
         if batch.midnears is None:
             raise SamplingError("pacmap mid-near term needs mid-near indices")
-        i_m = np.repeat(i, batch.midnears.shape[1])
-        j_m = batch.midnears.ravel()
-        diff_m, _, phi_m = _phi(coords, i_m, j_m)
-        value += -w_u * (phi_m / (phi_m + 1.0)).sum() / b
-        acc.add_sq(i_m, j_m, (w_u / b) * phi_m ** 2 / (phi_m + 1.0) ** 2, diff_m)
-    i_n, j_n = _negatives(batch)
-    diff_n, _, phi_n = _phi(coords, i_n, j_n)
-    g_n = phi_n / (phi_n + 1.0)
-    if spec.use_corrected_pacmap:
-        value += g_n.sum() / b
-    else:
-        # As published: constant offset relative to the corrected form,
-        # identical gradient.
-        value += -(1.0 - g_n).sum() / b
-    acc.add_sq(i_n, j_n, -(1.0 / b) * phi_n ** 2 / (phi_n + 1.0) ** 2, diff_n)
+        value += -w_u * _bounded(acc, coords, np.repeat(i, batch.midnears.shape[1]),
+                                 batch.midnears.ravel(), w_u / b).sum() / b
+    g_n = _bounded(acc, coords, *_negatives(batch), -1.0 / b)
+    # As published: a constant offset from the corrected form, the same gradient.
+    value += g_n.sum() / b if spec.use_corrected_pacmap else -(1.0 - g_n).sum() / b
     return value
 
 
@@ -335,8 +320,7 @@ def _loss_sscl(batch, coords, spec, w_u, acc):
     diff_n, d_n_flat = _dist(coords, i_n, j_n)
     a_n = -d_n_flat.reshape(b, batch.m) / tau
     if spec.use_incl_positive:
-        a = np.column_stack([-d_p / tau, a_n])
-        lse, soft = _lse_rows(a)
+        lse, soft = _lse_rows(np.column_stack([-d_p / tau, a_n]))
         coef_p = (1.0 - soft[:, 0]) / (tau * b)
         soft_n = soft[:, 1:]
     else:
@@ -350,19 +334,15 @@ def _loss_sscl(batch, coords, spec, w_u, acc):
 
 def _loss_snn(batch, coords, spec, w_u, acc):
     tau = spec.tau
-    anchors = batch.anchors
-    order = np.argsort(anchors, kind="stable")
-    uniq, group_start = np.unique(anchors[order], return_index=True)
-    sizes = np.diff(np.append(group_start, len(anchors)))
-    n_groups = len(uniq)
-    rows = order  # rows grouped contiguously by anchor
-    i_p = anchors[rows]
-    j_p = batch.positives[rows]
+    rows = np.argsort(batch.anchors, kind="stable")  # grouped by anchor
+    i_p, j_p = batch.anchors[rows], batch.positives[rows]
+    sizes = np.unique(i_p, return_counts=True)[1]
+    n_groups = len(sizes)
     diff_p, d_p = _dist(coords, i_p, j_p)
-    lse_p, soft_p, _ = _segment_lse(-d_p / tau, sizes)
+    lse_p, soft_p = _segment_lse(-d_p / tau, sizes)
     i_n, j_n = _negatives(batch, rows)
     diff_n, d_n = _dist(coords, i_n, j_n)
-    lse_n, soft_n, _ = _segment_lse(-d_n / tau, sizes * batch.m)
+    lse_n, soft_n = _segment_lse(-d_n / tau, sizes * batch.m)
     value = (-lse_p + lse_n).sum() / n_groups
     acc.add_dist(i_p, j_p, soft_p / (tau * n_groups), diff_p, d_p)
     acc.add_dist(i_n, j_n, -soft_n / (tau * n_groups), diff_n, d_n)
@@ -370,31 +350,30 @@ def _loss_snn(batch, coords, spec, w_u, acc):
 
 
 def _label_pairs(batch):
-    """(sizes, keep, rows, i, j) of the batch's label positives: set size per
-    anchor, the anchors with a non-empty set, and every (anchor, label
+    """(sizes, keep, rows, i, j, i_n, j_n) of the batch's label positives: set
+    size per anchor, the anchors with a non-empty set, every (anchor, label
     positive) pair in anchor order as its batch row and its two sample
-    indices."""
+    indices, and the kept anchors' negative pairs as _negatives gives them."""
     lp = batch.label_positives
     sizes = np.diff(lp.offsets)
+    keep = np.flatnonzero(sizes)
     rows = np.repeat(np.arange(batch.size), sizes)
-    return (sizes, np.flatnonzero(sizes), rows,
-            batch.anchors[rows], batch.anchors[lp.positions])
+    return (sizes, keep, rows, batch.anchors[rows], batch.anchors[lp.positions],
+            *_negatives(batch, keep))
 
 
 def _loss_supcon(batch, coords, spec, w_u, acc):
     tau = spec.tau
-    sizes, keep, rows, i_flat, j_flat = _label_pairs(batch)
+    sizes, keep, rows, i_flat, j_flat, i_n, j_n = _label_pairs(batch)
     bc = len(keep)
     diff_p, d_pj = _dist(coords, i_flat, j_flat)
     inv_sz = 1.0 / sizes[rows]
-    i_n, j_n = _negatives(batch, keep)
     diff_n, d_n_flat = _dist(coords, i_n, j_n)
     d_n = d_n_flat.reshape(bc, batch.m)
     if spec.use_incl_positive:
         # Per-positive denominator: its own similarity joins the negatives.
         pos_in_keep = (np.cumsum(sizes > 0) - 1)[rows]
-        a = np.column_stack([-d_pj / tau, -d_n[pos_in_keep] / tau])
-        lse, soft = _lse_rows(a)
+        lse, soft = _lse_rows(np.column_stack([-d_pj / tau, -d_n[pos_in_keep] / tau]))
         value = ((d_pj / tau + lse) * inv_sz).sum() / bc
         acc.add_dist(i_flat, j_flat, (1.0 - soft[:, 0]) * inv_sz / (tau * bc), diff_p, d_pj)
         coef_n = -(soft[:, 1:] * inv_sz[:, None]) / (tau * bc)
@@ -412,11 +391,10 @@ def _loss_supcon(batch, coords, spec, w_u, acc):
 
 def _loss_sup_snn(batch, coords, spec, w_u, acc):
     tau = spec.tau
-    sizes, keep, rows, i_flat, j_flat = _label_pairs(batch)
+    sizes, keep, rows, i_flat, j_flat, i_n, j_n = _label_pairs(batch)
     bc = len(keep)
     diff_p, d_pj = _dist(coords, i_flat, j_flat)
-    lse_p, soft_p, _ = _segment_lse(-d_pj / tau, sizes[keep])
-    i_n, j_n = _negatives(batch, keep)
+    lse_p, soft_p = _segment_lse(-d_pj / tau, sizes[keep])
     diff_n, d_n = _dist(coords, i_n, j_n)
     lse_n, soft_n = _lse_rows(-d_n.reshape(bc, batch.m) / tau)
     # -log( (1/|P|) sum e_p / sum e_n )
@@ -427,12 +405,10 @@ def _loss_sup_snn(batch, coords, spec, w_u, acc):
 
 
 def _loss_tscne(batch, coords, spec, w_u, acc):
-    sizes, keep, rows, i_flat, j_flat = _label_pairs(batch)
+    sizes, keep, rows, i_flat, j_flat, i_n, j_n = _label_pairs(batch)
     bc = len(keep)
-    anchors = batch.anchors
     diff_p, _, u = _phi(coords, i_flat, j_flat)
     inv_sz = 1.0 / sizes[rows]
-    i_n, j_n = _negatives(batch, keep)
     diff_n, _, phi_n = _phi(coords, i_n, j_n)
     v = phi_n.reshape(bc, batch.m).sum(axis=1)
     v_rows = v[(np.cumsum(sizes > 0) - 1)[rows]]
@@ -440,19 +416,17 @@ def _loss_tscne(batch, coords, spec, w_u, acc):
     if spec.use_log_ratio:
         value = -(np.log(u / (u + v_rows)) * inv_sz).sum() / bc
         du = -(1.0 / u - 1.0 / (u + v_rows)) * inv_sz / bc
-        seg_sum = np.add.reduceat(inv_sz / (u + v_rows), starts)
-        dv = seg_sum / bc
+        dv = np.add.reduceat(inv_sz / (u + v_rows), starts) / bc
     else:
         value = -((u / v_rows) * inv_sz).sum() / bc
         du = -(1.0 / v_rows) * inv_sz / bc
-        seg_sum = np.add.reduceat(inv_sz * u, starts)
-        dv = seg_sum / (v ** 2) / bc
+        dv = np.add.reduceat(inv_sz * u, starts) / (v ** 2) / bc
     acc.add_sq(i_flat, j_flat, du * (-u ** 2), diff_p)
     acc.add_sq(i_n, j_n, np.repeat(dv, batch.m) * (-phi_n ** 2), diff_n)
     if w_u != 0.0:
         if batch.midnears is None:
             raise SamplingError("tscne mid-near term needs mid-near indices")
-        i_k, j_k = anchors[keep], batch.positives[keep]
+        i_k, j_k = batch.anchors[keep], batch.positives[keep]
         diff_k, _, up = _phi(coords, i_k, j_k)
         n_mid = batch.midnears.shape[1]
         i_m = np.repeat(i_k, n_mid)

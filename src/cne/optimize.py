@@ -207,20 +207,29 @@ class Encoder:
     @classmethod
     def load(cls, path) -> "Encoder":
         with open(path, "rb") as fh:
-            if fh.read(len(ENCODER_MAGIC)) != ENCODER_MAGIC:
-                raise CneError(f"{path}: not an encoder checkpoint")
-            (n_sizes,) = struct.unpack("<I", fh.read(4))
-            sizes = struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes))
-            enc = cls.__new__(cls)
-            enc.sizes = tuple(sizes)
-            enc.weights = []
-            enc.biases = []
-            for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-                w = np.frombuffer(fh.read(8 * fan_out * fan_in), dtype="<f8")
-                enc.weights.append(w.reshape(fan_out, fan_in).copy())
-                b = np.frombuffer(fh.read(8 * fan_out), dtype="<f8")
-                enc.biases.append(b.copy())
-            return enc
+            raw = fh.read()
+        at = len(ENCODER_MAGIC)
+        if raw[:at] != ENCODER_MAGIC:
+            raise CneError(f"{path}: not an encoder checkpoint")
+
+        def take(n: int) -> bytes:  # the next n bytes, which the file must hold
+            nonlocal at
+            if len(raw) - at < n:
+                raise CneError(f"{path}: encoder checkpoint truncated at {len(raw)} bytes")
+            at += n
+            return raw[at - n:at]
+
+        (n_sizes,) = struct.unpack("<I", take(4))
+        sizes = struct.unpack(f"<{n_sizes}I", take(4 * n_sizes))
+        enc = cls.__new__(cls)
+        enc.sizes = tuple(sizes)
+        enc.weights = []
+        enc.biases = []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            w = np.frombuffer(take(8 * fan_out * fan_in), dtype="<f8")
+            enc.weights.append(w.reshape(fan_out, fan_in).copy())
+            enc.biases.append(np.frombuffer(take(8 * fan_out), dtype="<f8").copy())
+        return enc
 
 
 def fit_parametric(data: Dataset, graph: NeighborGraph, spec: LossSpec,

@@ -375,12 +375,14 @@ def test_config_file_label_column(tmp_path, capsys):
     (["embed", "--data", BLOBS], "[run]\nmode = quantum\n"),
     (["bench", "--data", BLOBS, "--losses", "umap", "--seeds", "a"], None),
     (["gradcheck", "--m", "0"], None),
+    (["gradcheck", "--trials", "0"], None),
+    (["gradcheck", "--trials", "-3"], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--m", "0"], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--jobs", "0"], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--jobs", "-1"], None),
     (["embed", "--data", "blobs:n_per_clas=5"], None),
 ], ids=["m0", "tau0", "batch0", "dim0", "ini-k", "ini-mode", "seeds", "gradcheck-m0",
-        "bench-m0", "jobs0", "jobs-1", "gen-key"])
+        "trials0", "trials-3", "bench-m0", "jobs0", "jobs-1", "gen-key"])
 def test_degenerate_settings_exit_with_a_message(tmp_path, capsys, argv, ini):
     if ini is not None:
         cfgfile = tmp_path / "run.ini"

@@ -84,6 +84,14 @@ def test_load_csv_nan_cell_names_location(tmp_path):
     assert "row" in msg and "column" in msg
 
 
+def test_load_csv_bad_cell_past_the_header_named_by_position(tmp_path):
+    # The header has no name for column 2, so the error gives its position.
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n1,2,x\n3,4,y\n")
+    with pytest.raises(DataError, match=r"^row 0, column 2: cannot parse 'x' as a number$"):
+        load_csv(p)
+
+
 def test_load_csv_ragged_rows(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1,2\n3\n")

@@ -226,10 +226,15 @@ def test_encoder_checkpoint_round_trip(tmp_path):
 
 
 def test_encoder_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"not a checkpoint")
-    with pytest.raises(CneError):
-        Encoder.load(path)
+    # Garbage, and a checkpoint cut inside its size header (10 bytes) or
+    # inside its first weight matrix (100 bytes).
+    path = tmp_path / "enc.bin"
+    Encoder(in_dim=5, out_dim=2, seed=1).save(path)
+    whole = path.read_bytes()
+    for raw in (b"not a checkpoint", whole[:10], whole[:100]):
+        path.write_bytes(raw)
+        with pytest.raises(CneError):
+            Encoder.load(path)
 
 
 def test_parametric_training_and_transform():

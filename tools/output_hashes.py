@@ -10,7 +10,8 @@ checkout of the parent commit and on the change, then comparing the two
 listings with `diff`.
 
 The runs: the determinism criterion's config; W1 data (600 x 10 blobs) for
-each of the 11 loss kinds; parametric umap on W1 data, which also writes
+each of the 11 loss kinds; 60-epoch W1 runs of the formula branches that a
+flag selects (`VARIANTS`); parametric umap on W1 data, which also writes
 `encoder.bin`; a two-thread `bench` grid; one-epoch trimap on 5000 x 50
 blobs, the one run whose searches span several row blocks, and so several
 threads; and the CSV path: `gen` writes W1 data to a file, `embed` reads it
@@ -37,6 +38,12 @@ from pathlib import Path
 LOSS_KINDS = ("tsne", "umap", "nce", "trimap", "pacmap", "infonce",
               "sscl", "snn", "supcon", "sup_snn", "tscne")
 W1 = "blobs:n_per_class=200,n_classes=3,dim=10,seed=0"
+# Flags that switch a loss onto another branch of its formula, each hashed in
+# one 60-epoch W1 run: (loss kind, flag).
+VARIANTS = (("trimap", "--log-ratio"), ("tscne", "--log-ratio"),
+            ("pacmap", "--paper-as-written"),
+            ("sscl", "--denominator-includes-positive"),
+            ("supcon", "--denominator-includes-positive"))
 CRITERION_7 = "blobs:n_per_class=60,n_classes=3,dim=8,separation=15,seed=2"
 MULTI_BLOCK = "blobs:n_per_class=500,n_classes=10,dim=50"
 
@@ -44,6 +51,9 @@ COMMANDS = {
     "criterion7": ["embed", "--data", CRITERION_7, "--loss", "umap", "--epochs", "20",
                    "--seed", "11", "--deterministic"],
     **{f"w1_{kind}": ["embed", "--data", W1, "--loss", kind] for kind in LOSS_KINDS},
+    **{f"w1_{kind}_{flag[2:].replace('-', '_')}":
+       ["embed", "--data", W1, "--loss", kind, flag, "--epochs", "60"]
+       for kind, flag in VARIANTS},
     "w1_parametric_umap": ["embed", "--data", W1, "--loss", "umap", "--mode", "parametric"],
     "bench_jobs2": ["bench", "--data", W1, "--losses", "umap,trimap,supcon,tscne",
                     "--seeds", "0,1", "--epochs", "15", "--jobs", "2"],
