@@ -8,7 +8,7 @@ affinity graph with a Cauchy or temperature kernel in embedding space.
 
 from .data import Dataset, Embedding, load_csv, make_blobs, make_moons, standardize, write_csv
 from .errors import (
-    CneError, DataError, DivergenceError, GraphError, LossNumericsError, SamplingError,
+    CneError, ConfigError, DataError, DivergenceError, GraphError, LossNumericsError, SamplingError,
 )
 from .kernels import cauchy, cauchy_unnormalized
 from .losses import (
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "Embedding", "load_csv", "make_blobs", "make_moons", "standardize",
-    "write_csv", "CneError", "DataError", "DivergenceError", "GraphError",
+    "write_csv", "CneError", "ConfigError", "DataError", "DivergenceError", "GraphError",
     "LossNumericsError", "SamplingError", "cauchy", "cauchy_unnormalized",
     "LOSS_KINDS", "LossGrad",
     "LossSpec", "default_spec", "loss_defaults", "evaluate", "grad_check",

@@ -4,8 +4,8 @@ Subcommands: gen (synthetic datasets), embed (one training run with full
 output directory), bench (grid over losses and seeds), gradcheck (analytic
 vs finite-difference gradients), plot (SVG from an embedding CSV).
 
-Exit codes: 0 success, 2 usage/configuration error, 3 runtime or
-divergence error.
+Exit codes: 0 success, 2 usage/configuration error (a ConfigError), 3
+any other error: data, numerics, divergence.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, load_csv, make_blobs, make_moons, standardize, write_csv, write_table
-from .errors import CneError
+from .errors import CneError, ConfigError
 from .losses import LOSS_KINDS, LossSpec, grad_check, loss_defaults
 from .metrics import quality_report
 from .neighbor_graph import DEFAULT_K, knn_graph
@@ -39,15 +39,11 @@ EXIT_RUNTIME = 3
 GRADCHECK_TOLERANCE = 1e-4
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_config_file(path) -> dict:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
-        raise UsageError(f"config file {path} not found")
+        raise ConfigError(f"config file {path} not found")
     flat = {}
     for section in parser.sections():
         for key, value in parser[section].items():
@@ -65,15 +61,15 @@ def _coerce(key: str, value: str):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise UsageError(f"config key {key!r}: cannot parse boolean {value!r}")
+        raise ConfigError(f"config key {key!r}: cannot parse boolean {value!r}")
     if like is not None:
         try:
             value = type(like)(value)
         except ValueError:
-            raise UsageError(f"config key {key!r}: cannot parse {value!r} "
-                             f"as {type(like).__name__}") from None
+            raise ConfigError(f"config key {key!r}: cannot parse {value!r} "
+                              f"as {type(like).__name__}") from None
     if key in CHOICES and value not in CHOICES[key]:
-        raise UsageError(f"config key {key!r}: {value!r} is not one of {CHOICES[key]}")
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of {CHOICES[key]}")
     return value
 
 
@@ -110,7 +106,7 @@ def _resolve(args, config: dict, loss: str | None = None) -> dict:
     explicit = set()
     for key, value in config.items():
         if key not in merged:
-            raise UsageError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
         merged[key] = _coerce(key, value)
         explicit.add(key)
     for key in merged:
@@ -136,18 +132,18 @@ def _parse_generator_spec(spec: str) -> Dataset:
     """KIND:key=value,...; the keys, their types and defaults are the generator's."""
     kind, _, rest = spec.partition(":")
     if kind not in GENERATORS:
-        raise UsageError(f"unknown generator {kind!r}; use blobs:... or moons:...")
+        raise ConfigError(f"unknown generator {kind!r}; use blobs:... or moons:...")
     params = inspect.signature(GENERATORS[kind]).parameters
     kwargs = {}
     for item in rest.split(",") if rest else ():
         key, _, value = (part.strip() for part in item.partition("="))
         if key not in params or not value:
-            raise UsageError(f"bad generator parameter {item!r}; {kind} takes {', '.join(params)}")
+            raise ConfigError(f"bad generator parameter {item!r}; {kind} takes {', '.join(params)}")
         kwargs[key] = value
     try:
         return GENERATORS[kind](**{k: type(params[k].default)(v) for k, v in kwargs.items()})
     except (ValueError, CneError) as exc:
-        raise UsageError(f"bad generator spec {spec!r}: {exc}") from exc
+        raise ConfigError(f"bad generator spec {spec!r}: {exc}") from exc
 
 
 def _label_column(label):
@@ -160,7 +156,7 @@ def _label_column(label):
 def _load_dataset(cfg: dict) -> Dataset:
     source = cfg.get("data")
     if not source:
-        raise UsageError("no dataset: pass --data FILE or --data blobs:...|moons:...")
+        raise ConfigError("no dataset: pass --data FILE or --data blobs:...|moons:...")
     if source.partition(":")[0] in GENERATORS:
         ds = _parse_generator_spec(source)
     else:
@@ -176,34 +172,18 @@ def _kwargs(cls, cfg: dict) -> dict:
             for f in fields(cls) if f.default is not MISSING}
 
 
-def _new_spec(**kwargs) -> LossSpec:
-    """LossSpec; an invalid setting is a usage error."""
-    try:
-        return LossSpec(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _specs(cfg: dict) -> tuple[LossSpec, OptimConfig]:
     """The run's LossSpec and OptimConfig; an invalid setting raises."""
     schedule = ScheduleSpec(**_kwargs(ScheduleSpec, cfg))
-    spec = _new_spec(schedule=schedule, **_kwargs(LossSpec, cfg))
+    spec = LossSpec(schedule=schedule, **_kwargs(LossSpec, cfg))
     return spec, OptimConfig(**_kwargs(OptimConfig, cfg))
-
-
-def _check_labels(ds: Dataset, spec: LossSpec) -> None:
-    """check_labels; data that cannot train the loss is a usage error."""
-    try:
-        check_labels(ds, spec)
-    except CneError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
     """One full training run on `ds` and its kNN graph (read-only, so they
     may be shared); returns the quality report dict."""
     spec, optim = _specs(cfg)
-    _check_labels(ds, spec)
+    check_labels(ds, spec)
     out = Path(cfg["out"] or "out")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -243,7 +223,7 @@ def cmd_embed(args) -> int:
     cfg = _resolve(args, config)
     spec, _ = _specs(cfg)  # an invalid setting fails before the data is read
     ds = _load_dataset(cfg)
-    _check_labels(ds, spec)  # and unusable labels before the graph is built
+    check_labels(ds, spec)  # and unusable labels before the graph is built
     report = run_embed(cfg, ds, knn_graph(ds, k=cfg["k"]))
     printable = {k: v for k, v in report.items() if v is not None}
     print(json.dumps(printable, sort_keys=True))
@@ -262,7 +242,7 @@ def _loss_list(text: str) -> list[str]:
     kinds = [s.strip() for s in text.split(",") if s.strip()]
     for name in kinds:
         if name not in LOSS_KINDS:
-            raise UsageError(f"unknown loss {name!r}")
+            raise ConfigError(f"unknown loss {name!r}")
     return kinds
 
 
@@ -270,23 +250,21 @@ def cmd_bench(args) -> int:
     config = _load_config_file(args.config) if args.config else {}
     loss_list = _loss_list(args.losses)
     if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     try:
         seed_list = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
-        raise UsageError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+        raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     if not loss_list or not seed_list:
-        raise UsageError("bench needs a non-empty --losses and --seeds grid")
+        raise ConfigError("bench needs a non-empty --losses and --seeds grid")
     base = _resolve(args, config)
     out = Path(base["out"] or "bench_out")
     grid = []
     for loss in loss_list:
         resolved = _resolve(args, config, loss=loss)
-        _specs(resolved)  # a setting every cell would reject fails before the grid
         for seed in seed_list:
-            cfg = dict(resolved)
-            cfg["seed"] = seed
-            cfg["out"] = str(out / f"{loss}_seed{seed}")
+            cfg = dict(resolved, seed=seed, out=str(out / f"{loss}_seed{seed}"))
+            _specs(cfg)  # a setting a cell would reject fails before the grid
             grid.append(cfg)
     # No per-loss setting changes the data or the graph.
     ds = _load_dataset(base)
@@ -324,14 +302,14 @@ def cmd_bench(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     kinds = _loss_list(args.losses) if args.losses else list(LOSS_KINDS)
     rng = np.random.default_rng(args.seed)
     n, d, b, m = 64, 2, 8, args.m
     labels = rng.integers(0, 3, size=n)
     failed = False
     for kind in kinds:
-        spec = _new_spec(kind=kind, m=m, log_ratio=args.log_ratio or False)
+        spec = LossSpec(kind=kind, m=m, log_ratio=args.log_ratio or False)
         worst = 0.0
         for _ in range(args.trials):
             coords = rng.normal(size=(n, d))
@@ -413,12 +391,9 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CneError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -122,6 +122,8 @@ def _layout(path, rows, label_column):
     if not data:
         raise DataError(f"{path}: no data rows")
     width = len(data[0])
+    if header is not None and len(header) != width:
+        raise DataError(f"{path}: header has {len(header)} cells, row 0 has {width}")
     if label_idx is not None and not (-width <= label_idx < width):
         raise DataError(f"label column index {label_idx} out of range for width {width}")
     if label_idx is not None and label_idx < 0:
@@ -203,7 +205,7 @@ def _load_rows(path, label_column=None) -> Dataset:
             if not math.isfinite(sum(vals)):  # a non-finite cell, or an overflowing sum
                 raise ValueError
         except ValueError:  # report the row's first bad cell, by name if the header has one
-            vals = [_parse_cell(cell.strip(), r, header[c] if c < len(header or ()) else c)
+            vals = [_parse_cell(cell.strip(), r, header[c] if header else c)
                     for c, cell in enumerate(row) if c != label_idx]
         points.append(vals)
     return _dataset(path, np.asarray(points), raw_labels)

@@ -5,6 +5,10 @@ class CneError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(CneError, ValueError):
+    """A run setting the program cannot run with, alone or on the data it was given."""
+
+
 class DataError(CneError):
     """Invalid or unparseable dataset input."""
 

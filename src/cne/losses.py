@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import LossNumericsError, SamplingError
+from .errors import ConfigError, LossNumericsError, SamplingError
 from .kernels import EPS_SQ_DIST, cauchy
 from .sampling import DEFAULT_M, PairBatch, ScheduleSpec
 
@@ -41,7 +41,7 @@ LOSS_DEFAULTS = {
 def loss_defaults(kind: str) -> dict:
     """Hyperparameter overrides recommended for one loss kind."""
     if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; choose from {LOSS_KINDS}")
+        raise ConfigError(f"unknown loss kind {kind!r}; choose from {LOSS_KINDS}")
     return dict(LOSS_DEFAULTS.get(kind, {}))
 
 
@@ -80,11 +80,11 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}; choose from {LOSS_KINDS}")
+            raise ConfigError(f"unknown loss kind {self.kind!r}; choose from {LOSS_KINDS}")
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise ConfigError("m must be >= 1")
         if not self.tau > 0:
-            raise ValueError("tau must be positive")
+            raise ConfigError("tau must be positive")
 
     @property
     def use_log_ratio(self) -> bool:
@@ -262,7 +262,7 @@ def _loss_trimap(batch, coords, spec, w_u, acc):
     value = _triplets(acc, coords, i, batch.positives, batch.negatives, 1.0, b, log)
     if w_u != 0.0:
         mid = batch.midnears
-        if mid is None or mid.shape[1] < 2:
+        if mid.shape[1] < 2:
             raise SamplingError("trimap mid-near term needs >= 2 mid-near indices per anchor")
         # The same ratio, the first mid-near as inlier and the second as outlier.
         value += _triplets(acc, coords, i, mid[:, 0], mid[:, 1:2], w_u, b, log)
@@ -283,8 +283,6 @@ def _loss_pacmap(batch, coords, spec, w_u, acc):
     w_p = spec.schedule.w_p
     value = -w_p * _bounded(acc, coords, i, batch.positives, w_p / b).sum() / b
     if w_u != 0.0:
-        if batch.midnears is None:
-            raise SamplingError("pacmap mid-near term needs mid-near indices")
         value += -w_u * _bounded(acc, coords, np.repeat(i, batch.midnears.shape[1]),
                                  batch.midnears.ravel(), w_u / b).sum() / b
     g_n = _bounded(acc, coords, *_negatives(batch), -1.0 / b)
@@ -424,8 +422,6 @@ def _loss_tscne(batch, coords, spec, w_u, acc):
     acc.add_sq(i_flat, j_flat, du * (-u ** 2), diff_p)
     acc.add_sq(i_n, j_n, np.repeat(dv, batch.m) * (-phi_n ** 2), diff_n)
     if w_u != 0.0:
-        if batch.midnears is None:
-            raise SamplingError("tscne mid-near term needs mid-near indices")
         i_k, j_k = batch.anchors[keep], batch.positives[keep]
         diff_k, _, up = _phi(coords, i_k, j_k)
         n_mid = batch.midnears.shape[1]
@@ -486,6 +482,8 @@ def evaluate(spec: LossSpec, batch: PairBatch, coords, epoch: int = 0,
         if spec.supervised:  # an anchor with an empty set is skipped
             skipped = b - np.count_nonzero(np.diff(off))
     w_u = spec.schedule.w_u(epoch, n_epochs) if spec.kind in MIDNEAR_KINDS else 0.0
+    if w_u != 0.0 and batch.midnears is None:
+        raise SamplingError(f"{spec.kind} mid-near term needs mid-near indices in the batch")
     acc = _Accumulator(coords)
     with np.errstate(all="ignore"):  # overflow is reported below, not warned about
         # With every anchor skipped the loss is 0 and so is its gradient.

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, Embedding
-from .errors import CneError, DivergenceError, LossNumericsError
+from .errors import CneError, ConfigError, DivergenceError, LossNumericsError
 from .losses import MIDNEAR_KINDS, LossSpec, evaluate
 from .neighbor_graph import NeighborGraph
 from .sampling import DEFAULT_BATCH_SIZE, Sampler
@@ -42,19 +42,21 @@ class OptimConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise CneError("epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise CneError("learning_rate must be >= 0")
+            raise ConfigError("epochs must be >= 1")
+        if not self.learning_rate >= 0:
+            raise ConfigError("learning_rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
-            raise CneError("momentum must lie in [0, 1)")
-        if self.grad_clip < 0:
-            raise CneError("grad_clip must be >= 0")
+            raise ConfigError("momentum must lie in [0, 1)")
+        if not self.grad_clip >= 0:
+            raise ConfigError("grad_clip must be >= 0")
         if self.batch_size < 1:
-            raise CneError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.embedding_dim < 1:
-            raise CneError("embedding_dim must be >= 1")
+            raise ConfigError("embedding_dim must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.mode not in MODES:
-            raise CneError(f"unknown mode {self.mode!r}; choose from {MODES}")
+            raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -82,13 +84,13 @@ def pca_init(points, d: int, scale: float = PCA_INIT_SCALE):
 
 
 def check_labels(data: Dataset, spec: LossSpec) -> None:
-    """Raise CneError unless `data` can train `spec`: a supervised loss needs
+    """Raise ConfigError unless `data` can train `spec`: a supervised loss needs
     labels with at least two classes."""
     if spec.supervised:
         if data.labels is None:
-            raise CneError(f"loss {spec.kind!r} requires labels")
+            raise ConfigError(f"loss {spec.kind!r} requires labels")
         if len(np.unique(data.labels)) < 2:
-            raise CneError(f"loss {spec.kind!r} requires at least two classes")
+            raise ConfigError(f"loss {spec.kind!r} requires at least two classes")
 
 
 def _sgd(data, graph, spec, cfg, params, what, forward):
@@ -229,6 +231,8 @@ class Encoder:
             w = np.frombuffer(take(8 * fan_out * fan_in), dtype="<f8")
             enc.weights.append(w.reshape(fan_out, fan_in).copy())
             enc.biases.append(np.frombuffer(take(8 * fan_out), dtype="<f8").copy())
+        if at != len(raw):
+            raise CneError(f"{path}: {len(raw) - at} bytes after the last bias vector")
         return enc
 
 

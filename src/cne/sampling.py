@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .data import Dataset
-from .errors import SamplingError
+from .errors import ConfigError, SamplingError
 from .neighbor_graph import NeighborGraph
 
 DEFAULT_M = 5
@@ -40,11 +40,11 @@ class ScheduleSpec:
 
     def __post_init__(self):
         if not self.w_p > 0:
-            raise SamplingError("w_p must be positive")
-        if self.w_u_init < 0 or self.w_u_final < 0:
-            raise SamplingError("mid-near weights must be non-negative")
+            raise ConfigError("w_p must be positive")
+        if not (self.w_u_init >= 0 and self.w_u_final >= 0):
+            raise ConfigError("mid-near weights must be non-negative")
         if not 0.0 <= self.anneal_fraction <= 1.0:
-            raise SamplingError("anneal_fraction must lie in [0, 1]")
+            raise ConfigError("anneal_fraction must lie in [0, 1]")
 
     def w_u(self, epoch: int, n_epochs: int) -> float:
         t_anneal = self.anneal_fraction * n_epochs

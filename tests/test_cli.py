@@ -366,6 +366,14 @@ def test_config_file_label_column(tmp_path, capsys):
     assert json.loads((out / "quality.json").read_text())["knn_accuracy"] is not None
 
 
+# Settings that the class owning them rejects: (flag, value). Each exits 2
+# from a flag, from a config file and from a bench grid.
+BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1"),
+                ("momentum", "1"), ("grad-clip", "-1"), ("w-p", "0"), ("w-u-init", "-1"),
+                ("w-u-final", "-1"), ("anneal-fraction", "2"),
+                ("lr", "nan"), ("grad-clip", "nan"), ("w-u-init", "nan")]
+
+
 @pytest.mark.parametrize("argv, ini", [
     (["embed", "--data", BLOBS, "--m", "0"], None),
     (["embed", "--data", BLOBS, "--tau", "0"], None),
@@ -381,8 +389,18 @@ def test_config_file_label_column(tmp_path, capsys):
     (["bench", "--data", BLOBS, "--losses", "umap", "--jobs", "0"], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--jobs", "-1"], None),
     (["embed", "--data", "blobs:n_per_clas=5"], None),
+    (["embed", "--data", BLOBS, "--seed", "-1"], None),
+    (["bench", "--data", BLOBS, "--losses", "umap", "--seeds", "0,-1"], None),
+    *[(["embed", "--data", BLOBS, "--" + flag, value], None) for flag, value in BAD_SETTINGS[2:]],
+    *[(["embed", "--data", BLOBS], f"[run]\n{flag.replace('-', '_')} = {value}\n")
+      for flag, value in BAD_SETTINGS],
+    *[(["bench", "--data", BLOBS, "--losses", "umap", "--" + flag, value], None)
+      for flag, value in BAD_SETTINGS],
 ], ids=["m0", "tau0", "batch0", "dim0", "ini-k", "ini-mode", "seeds", "gradcheck-m0",
-        "trials0", "trials-3", "bench-m0", "jobs0", "jobs-1", "gen-key"])
+        "trials0", "trials-3", "bench-m0", "jobs0", "jobs-1", "gen-key", "seed-1", "bench-seeds-1",
+        *[f"{flag}{value}" for flag, value in BAD_SETTINGS[2:]],
+        *[f"ini-{flag}{value}" for flag, value in BAD_SETTINGS],
+        *[f"bench-{flag}{value}" for flag, value in BAD_SETTINGS]])
 def test_degenerate_settings_exit_with_a_message(tmp_path, capsys, argv, ini):
     if ini is not None:
         cfgfile = tmp_path / "run.ini"
@@ -390,8 +408,18 @@ def test_degenerate_settings_exit_with_a_message(tmp_path, capsys, argv, ini):
         argv = [*argv, "--config", str(cfgfile)]
     if argv[0] != "gradcheck":
         argv = [*argv, "--out", str(tmp_path / "out")]
-    assert run(argv) in (2, 3)
+    assert run(argv) == 2
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+def test_data_and_graph_errors_exit_3(tmp_path, capsys):
+    # Unlike a rejected setting, a bad data file or a k the data cannot
+    # supply is a runtime error.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n1,2,3\n4,5,6\n")
+    for argv in (["--data", str(bad)], ["--data", "blobs:n_per_class=20", "--k", "700"]):
+        assert run(["embed", *argv, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("kind", SUPERVISED_KINDS)

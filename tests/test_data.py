@@ -85,11 +85,26 @@ def test_load_csv_nan_cell_names_location(tmp_path):
 
 
 def test_load_csv_bad_cell_past_the_header_named_by_position(tmp_path):
-    # The header has no name for column 2, so the error gives its position.
+    # No header names column 2 here, so the error gives its position. (A
+    # header narrower than the rows is rejected before any cell is read.)
     p = tmp_path / "d.csv"
-    p.write_text("a,b\n1,2,x\n3,4,y\n")
-    with pytest.raises(DataError, match=r"^row 0, column 2: cannot parse 'x' as a number$"):
+    p.write_text("1,2,3\n4,5,x\n")
+    with pytest.raises(DataError, match=r"^row 1, column 2: cannot parse 'x' as a number$"):
         load_csv(p)
+
+
+@pytest.mark.parametrize("text, cells, width", [
+    ("a,b\n1,2,3\n4,5,6\n", 2, 3),
+    ("a,b\n1,2,x\n3,4,y\n", 2, 3),
+    ("a,b,c,d\n1,2,3\n", 4, 3),
+], ids=["narrower", "narrower-bad-cell", "wider"])
+def test_load_csv_header_as_wide_as_the_rows(tmp_path, text, cells, width):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    for load in (load_csv, data._load_rows):
+        for label_column in (None, "b"):
+            with pytest.raises(DataError, match=f"header has {cells} cells, row 0 has {width}$"):
+                load(p, label_column=label_column)
 
 
 def test_load_csv_ragged_rows(tmp_path):
@@ -276,6 +291,8 @@ def _outcome(load, path, label_column):
 @example(("1e400,1\n2,3\n", None))
 @example(("1_000,1\n\n2,3\n", -1))                             # Python's float only
 @example(('"c 0", label\n" 1 ","a b"\n2,"a b "\n', 1))
+@example(("a,b\n1,2,3\n4,5,6\n", "b"))                          # header narrower
+@example(("a,b,c,d\n1,2,3\n", None))                              # header wider
 def test_load_csv_matches_the_row_loop(tmp_path, case):
     text, label_column = case
     path = tmp_path / "case.csv"

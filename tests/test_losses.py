@@ -700,6 +700,19 @@ def test_supervised_batch_with_no_kept_anchor_is_skipped(kind):
         evaluate(spec, batch, coords)
 
 
+@pytest.mark.parametrize("kind", ["trimap", "pacmap", "tscne"])
+def test_evaluate_needs_midnears_while_w_u_is_nonzero(kind):
+    rng = np.random.default_rng(3)
+    coords = rng.normal(size=(20, 2))
+    batch = pair_batch([0, 1, 2], [3, 4, 5], rng.integers(6, 20, size=(3, 4)),
+                       label_positives=[[1], [0], []])
+    spec = LossSpec(kind=kind, m=4)
+    with pytest.raises(SamplingError, match=f"^{kind} mid-near term needs mid-near"):
+        evaluate(spec, batch, coords, epoch=0, n_epochs=10)
+    assert spec.schedule.w_u(5, 10) == 0.0  # annealed: the term is not read
+    assert np.isfinite(evaluate(spec, batch, coords, epoch=5, n_epochs=10).value)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         LossSpec(kind="nope")

@@ -31,6 +31,8 @@ def test_optim_config_validation():
         OptimConfig(batch_size=0)
     with pytest.raises(CneError):
         OptimConfig(embedding_dim=0)
+    with pytest.raises(CneError):
+        OptimConfig(seed=-1)
 
 
 def test_pca_init_shape_and_scale():
@@ -226,12 +228,12 @@ def test_encoder_checkpoint_round_trip(tmp_path):
 
 
 def test_encoder_load_rejects_garbage(tmp_path):
-    # Garbage, and a checkpoint cut inside its size header (10 bytes) or
-    # inside its first weight matrix (100 bytes).
+    # Garbage, a checkpoint cut inside its size header (10 bytes) or inside
+    # its first weight matrix (100 bytes), and one with bytes after its end.
     path = tmp_path / "enc.bin"
     Encoder(in_dim=5, out_dim=2, seed=1).save(path)
     whole = path.read_bytes()
-    for raw in (b"not a checkpoint", whole[:10], whole[:100]):
+    for raw in (b"not a checkpoint", whole[:10], whole[:100], whole + bytes(8)):
         path.write_bytes(raw)
         with pytest.raises(CneError):
             Encoder.load(path)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cne import (
-    Dataset, PairBatch, Sampler, SamplingError, ScheduleSpec, knn_graph,
+    ConfigError, Dataset, PairBatch, Sampler, SamplingError, ScheduleSpec, knn_graph,
     random_batch, sample_edge_batch, sample_midnears,
 )
 from cne.neighbor_graph import NeighborGraph
@@ -406,11 +406,11 @@ def test_schedule_constant_after_anneal():
 
 
 def test_schedule_validation():
-    with pytest.raises(SamplingError):
+    with pytest.raises(ConfigError):
         ScheduleSpec(w_p=0.0)
-    with pytest.raises(SamplingError):
+    with pytest.raises(ConfigError):
         ScheduleSpec(w_u_init=-1.0)
-    with pytest.raises(SamplingError):
+    with pytest.raises(ConfigError):
         ScheduleSpec(anneal_fraction=1.5)
 
 
