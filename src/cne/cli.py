@@ -183,16 +183,16 @@ def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
     """One full training run on `ds` and its kNN graph (read-only, so they
     may be shared); returns the quality report dict."""
     spec, optim = _specs(cfg)
-    check_labels(ds, spec)
     out = Path(cfg["out"] or "out")
-    out.mkdir(parents=True, exist_ok=True)
-
     if optim.mode == "parametric":
         encoder, emb, log = fit_parametric(ds, graph, spec, optim)
-        encoder.save(out / "encoder.bin")
     else:
         emb, log = fit_nonparametric(ds, graph, spec, optim)
 
+    # Made after the fit: a run that fails to train leaves no directory.
+    out.mkdir(parents=True, exist_ok=True)
+    if optim.mode == "parametric":
+        encoder.save(out / "encoder.bin")
     write_table(out / "embedding.csv", emb.coords, ds.labels,
                 [f"z{c + 1}" for c in range(emb.d)], ids=True)
     with open(out / "train_log.jsonl", "w") as fh:
@@ -246,6 +246,15 @@ def _loss_list(text: str) -> list[str]:
     return kinds
 
 
+def _label_error(ds, spec):
+    """The ConfigError check_labels raises for `ds` and `spec`, or None."""
+    try:
+        check_labels(ds, spec)
+    except ConfigError as exc:
+        return exc
+    return None
+
+
 def cmd_bench(args) -> int:
     config = _load_config_file(args.config) if args.config else {}
     loss_list = _loss_list(args.losses)
@@ -259,15 +268,20 @@ def cmd_bench(args) -> int:
         raise ConfigError("bench needs a non-empty --losses and --seeds grid")
     base = _resolve(args, config)
     out = Path(base["out"] or "bench_out")
-    grid = []
+    grid, specs = [], {}
     for loss in loss_list:
         resolved = _resolve(args, config, loss=loss)
         for seed in seed_list:
             cfg = dict(resolved, seed=seed, out=str(out / f"{loss}_seed{seed}"))
-            _specs(cfg)  # a setting a cell would reject fails before the grid
+            specs[loss], _ = _specs(cfg)  # a setting a cell would reject fails before the grid
             grid.append(cfg)
     # No per-loss setting changes the data or the graph.
     ds = _load_dataset(base)
+    # Labels that no loss of the grid can train on fail before the graph is
+    # built; with one usable loss, each rejected cell records its error.
+    errors = [_label_error(ds, spec) for spec in specs.values()]
+    if all(errors):
+        raise errors[0]
     graph = knn_graph(ds, k=base["k"])
     out.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:

@@ -12,6 +12,7 @@ is exactly the negation of the contribution to j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -83,8 +84,8 @@ class LossSpec:
             raise ConfigError(f"unknown loss kind {self.kind!r}; choose from {LOSS_KINDS}")
         if self.m < 1:
             raise ConfigError("m must be >= 1")
-        if not self.tau > 0:
-            raise ConfigError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ConfigError("tau must be positive and finite")
 
     @property
     def use_log_ratio(self) -> bool:
@@ -126,59 +127,68 @@ class LossGrad:
 
 
 class _Accumulator:
-    """Pairwise gradient accumulation over embedding coordinates. result()
-    scatters all contributions at once, in call order: each row is the same
-    left-to-right sum from 0.0 as scattering every call as it comes."""
+    """Pairwise gradient accumulation over embedding coordinates, one array
+    per coordinate. result() scatters all contributions at once, in call
+    order: each row is the same left-to-right sum from 0.0 as scattering every
+    call as it comes."""
 
-    def __init__(self, coords):
-        self.coords = coords
+    def __init__(self, cols):
+        self.d, self.n = cols.shape
         self.rows = []
-        self.contribs = []
+        self.contribs = [[] for _ in range(self.d)]  # per coordinate, in call order
 
     def _add(self, i, j, contrib):
         self.rows += [i, j]
-        self.contribs += [contrib, -contrib]
+        for parts, x in zip(self.contribs, contrib):
+            parts += [x, -x]
 
     def add_sq(self, i, j, coef, diff):
         """coef = dL/d(d^2) per pair; chain through d^2 = ||z_i - z_j||^2,
         with diff = z_i - z_j as _phi returns it."""
-        self._add(i, j, (2.0 * coef)[:, None] * diff)
+        coef = 2.0 * coef
+        self._add(i, j, [coef * x for x in diff])
 
     def add_dist(self, i, j, coef, diff, dist):
         """coef = dL/d(dist) per pair; chain through dist = ||z_i - z_j||,
         with diff and dist as _dist returns them."""
-        self._add(i, j, coef[:, None] * (diff / dist[:, None]))
+        self._add(i, j, [coef * (x / dist) for x in diff])
 
     def result(self):
         """(dense N x d gradient, the row of every contribution)."""
-        n, d = self.coords.shape
-        grad = np.zeros((n, d))
+        grad = np.zeros((self.n, self.d))
         if not self.rows:
             return grad, np.zeros(0, dtype=np.intp)
         rows = np.concatenate(self.rows)
-        w = np.concatenate(self.contribs)
-        for c in range(d):
-            grad[:, c] = np.bincount(rows, weights=w[:, c], minlength=n)
+        for c, parts in enumerate(self.contribs):
+            grad[:, c] = np.bincount(rows, weights=np.concatenate(parts), minlength=self.n)
         return grad, rows
 
 
-def _diff(coords, i, j):
-    # take(): the same rows as coords[i], gathered several times faster.
-    return coords.take(i, axis=0) - coords.take(j, axis=0)
+def _diff(cols, i, j):
+    """z_i - z_j per pair, one contiguous array per coordinate."""
+    return [c.take(i) - c.take(j) for c in cols]
 
 
-def _phi(coords, i, j):
+def _sq(diff):
+    """||z_i - z_j||^2 per pair, summed coordinate by coordinate."""
+    s = diff[0] * diff[0]
+    for x in diff[1:]:
+        s += x * x
+    return s
+
+
+def _phi(cols, i, j):
     """(z_i - z_j, clamped d^2, Cauchy kernel) per pair; the difference goes
     on to _Accumulator.add_sq, so each pair set is gathered once."""
-    diff = _diff(coords, i, j)
-    s = np.maximum(np.einsum("bd,bd->b", diff, diff), EPS_SQ_DIST)
+    diff = _diff(cols, i, j)
+    s = np.maximum(_sq(diff), EPS_SQ_DIST)
     return diff, s, cauchy(s)
 
 
-def _dist(coords, i, j):
+def _dist(cols, i, j):
     """(z_i - z_j, clamped distance) per pair, for _Accumulator.add_dist."""
-    diff = _diff(coords, i, j)
-    return diff, np.maximum(np.sqrt(np.einsum("bd,bd->b", diff, diff)), 1e-30)
+    diff = _diff(cols, i, j)
+    return diff, np.maximum(np.sqrt(_sq(diff)), 1e-30)
 
 
 def _negatives(batch, rows=slice(None)):
@@ -210,9 +220,9 @@ def _segment_lse(a_flat, sizes):
 
 # --- Cauchy-kernel losses ---------------------------------------------------
 
-def _loss_tsne(batch, coords, spec, w_u, acc):
+def _loss_tsne(batch, cols, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
-    diff, _, phi = _phi(coords, i, j)
+    diff, _, phi = _phi(cols, i, j)
     b = len(i)
     total = phi.sum()
     value = -np.log(phi).mean() + np.log(total)
@@ -221,12 +231,12 @@ def _loss_tsne(batch, coords, spec, w_u, acc):
     return value
 
 
-def _loss_umap(batch, coords, spec, w_u, acc):
+def _loss_umap(batch, cols, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
     b = len(i)
-    diff_p, _, phi_p = _phi(coords, i, j)
+    diff_p, _, phi_p = _phi(cols, i, j)
     i_n, j_n = _negatives(batch)
-    diff_n, s_n, phi_n = _phi(coords, i_n, j_n)
+    diff_n, s_n, phi_n = _phi(cols, i_n, j_n)
     # 1 - phi = d^2/(d^2+1), computed as s*phi for accuracy near phi=1
     value = -(np.log(phi_p).sum() + np.log(s_n * phi_n).sum()) / b
     acc.add_sq(i, j, phi_p / b, diff_p)
@@ -234,14 +244,14 @@ def _loss_umap(batch, coords, spec, w_u, acc):
     return value
 
 
-def _triplets(acc, coords, i, j, k, w, b, log):
+def _triplets(acc, cols, i, j, k, w, b, log):
     """The triplet term -w/b * sum u/(u+v), or of log(u/(u+v)) when `log`, with
     u = phi(i[r], j[r]) and v = phi(i[r], k[r, c]) for every column c of k. Adds
     its gradient to acc and returns its value."""
     m = k.shape[1]
     i_k, j_k = np.repeat(i, m), k.ravel()
-    diff_p, _, u = _phi(coords, i, j)
-    diff_n, _, v_flat = _phi(coords, i_k, j_k)
+    diff_p, _, u = _phi(cols, i, j)
+    diff_n, _, v_flat = _phi(cols, i_k, j_k)
     v = v_flat.reshape(b, m)
     denom = u[:, None] + v
     if log:
@@ -257,46 +267,46 @@ def _triplets(acc, coords, i, j, k, w, b, log):
     return value
 
 
-def _loss_trimap(batch, coords, spec, w_u, acc):
+def _loss_trimap(batch, cols, spec, w_u, acc):
     i, b, log = batch.anchors, batch.size, spec.use_log_ratio
-    value = _triplets(acc, coords, i, batch.positives, batch.negatives, 1.0, b, log)
+    value = _triplets(acc, cols, i, batch.positives, batch.negatives, 1.0, b, log)
     if w_u != 0.0:
         mid = batch.midnears
         if mid.shape[1] < 2:
             raise SamplingError("trimap mid-near term needs >= 2 mid-near indices per anchor")
         # The same ratio, the first mid-near as inlier and the second as outlier.
-        value += _triplets(acc, coords, i, mid[:, 0], mid[:, 1:2], w_u, b, log)
+        value += _triplets(acc, cols, i, mid[:, 0], mid[:, 1:2], w_u, b, log)
     return value
 
 
-def _bounded(acc, coords, i, j, coef):
+def _bounded(acc, cols, i, j, coef):
     """Adds coef * phi^2/(phi+1)^2 per pair as dL/d(d^2), the gradient of
     -coef * phi/(phi+1), and returns phi/(phi+1)."""
-    diff, _, phi = _phi(coords, i, j)
+    diff, _, phi = _phi(cols, i, j)
     acc.add_sq(i, j, coef * phi ** 2 / (phi + 1.0) ** 2, diff)
     return phi / (phi + 1.0)
 
 
-def _loss_pacmap(batch, coords, spec, w_u, acc):
+def _loss_pacmap(batch, cols, spec, w_u, acc):
     i = batch.anchors
     b = len(i)
     w_p = spec.schedule.w_p
-    value = -w_p * _bounded(acc, coords, i, batch.positives, w_p / b).sum() / b
+    value = -w_p * _bounded(acc, cols, i, batch.positives, w_p / b).sum() / b
     if w_u != 0.0:
-        value += -w_u * _bounded(acc, coords, np.repeat(i, batch.midnears.shape[1]),
+        value += -w_u * _bounded(acc, cols, np.repeat(i, batch.midnears.shape[1]),
                                  batch.midnears.ravel(), w_u / b).sum() / b
-    g_n = _bounded(acc, coords, *_negatives(batch), -1.0 / b)
+    g_n = _bounded(acc, cols, *_negatives(batch), -1.0 / b)
     # As published: a constant offset from the corrected form, the same gradient.
     value += g_n.sum() / b if spec.use_corrected_pacmap else -(1.0 - g_n).sum() / b
     return value
 
 
-def _loss_infonce(batch, coords, spec, w_u, acc):
+def _loss_infonce(batch, cols, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
     b = len(i)
-    diff_p, _, u = _phi(coords, i, j)
+    diff_p, _, u = _phi(cols, i, j)
     i_n, j_n = _negatives(batch)
-    diff_n, _, v_flat = _phi(coords, i_n, j_n)
+    diff_n, _, v_flat = _phi(cols, i_n, j_n)
     v_sum = v_flat.reshape(b, batch.m).sum(axis=1)
     total = u + v_sum
     value = -(np.log(u) - np.log(total)).mean()
@@ -309,13 +319,13 @@ def _loss_infonce(batch, coords, spec, w_u, acc):
 
 # --- Temperature-kernel losses ----------------------------------------------
 
-def _loss_sscl(batch, coords, spec, w_u, acc):
+def _loss_sscl(batch, cols, spec, w_u, acc):
     tau = spec.tau
     i, j = batch.anchors, batch.positives
     b = len(i)
-    diff_p, d_p = _dist(coords, i, j)
+    diff_p, d_p = _dist(cols, i, j)
     i_n, j_n = _negatives(batch)
-    diff_n, d_n_flat = _dist(coords, i_n, j_n)
+    diff_n, d_n_flat = _dist(cols, i_n, j_n)
     a_n = -d_n_flat.reshape(b, batch.m) / tau
     if spec.use_incl_positive:
         lse, soft = _lse_rows(np.column_stack([-d_p / tau, a_n]))
@@ -330,16 +340,16 @@ def _loss_sscl(batch, coords, spec, w_u, acc):
     return value
 
 
-def _loss_snn(batch, coords, spec, w_u, acc):
+def _loss_snn(batch, cols, spec, w_u, acc):
     tau = spec.tau
     rows = np.argsort(batch.anchors, kind="stable")  # grouped by anchor
     i_p, j_p = batch.anchors[rows], batch.positives[rows]
     sizes = np.unique(i_p, return_counts=True)[1]
     n_groups = len(sizes)
-    diff_p, d_p = _dist(coords, i_p, j_p)
+    diff_p, d_p = _dist(cols, i_p, j_p)
     lse_p, soft_p = _segment_lse(-d_p / tau, sizes)
     i_n, j_n = _negatives(batch, rows)
-    diff_n, d_n = _dist(coords, i_n, j_n)
+    diff_n, d_n = _dist(cols, i_n, j_n)
     lse_n, soft_n = _segment_lse(-d_n / tau, sizes * batch.m)
     value = (-lse_p + lse_n).sum() / n_groups
     acc.add_dist(i_p, j_p, soft_p / (tau * n_groups), diff_p, d_p)
@@ -360,13 +370,13 @@ def _label_pairs(batch):
             *_negatives(batch, keep))
 
 
-def _loss_supcon(batch, coords, spec, w_u, acc):
+def _loss_supcon(batch, cols, spec, w_u, acc):
     tau = spec.tau
     sizes, keep, rows, i_flat, j_flat, i_n, j_n = _label_pairs(batch)
     bc = len(keep)
-    diff_p, d_pj = _dist(coords, i_flat, j_flat)
+    diff_p, d_pj = _dist(cols, i_flat, j_flat)
     inv_sz = 1.0 / sizes[rows]
-    diff_n, d_n_flat = _dist(coords, i_n, j_n)
+    diff_n, d_n_flat = _dist(cols, i_n, j_n)
     d_n = d_n_flat.reshape(bc, batch.m)
     if spec.use_incl_positive:
         # Per-positive denominator: its own similarity joins the negatives.
@@ -375,9 +385,8 @@ def _loss_supcon(batch, coords, spec, w_u, acc):
         value = ((d_pj / tau + lse) * inv_sz).sum() / bc
         acc.add_dist(i_flat, j_flat, (1.0 - soft[:, 0]) * inv_sz / (tau * bc), diff_p, d_pj)
         coef_n = -(soft[:, 1:] * inv_sz[:, None]) / (tau * bc)
-        d = coords.shape[1]
         acc.add_dist(*_negatives(batch, rows), coef_n.ravel(),
-                     diff_n.reshape(bc, batch.m, d)[pos_in_keep].reshape(-1, d),
+                     [x.reshape(bc, batch.m)[pos_in_keep].ravel() for x in diff_n],
                      d_n[pos_in_keep].ravel())
     else:
         lse_n, soft_n = _lse_rows(-d_n / tau)
@@ -387,13 +396,13 @@ def _loss_supcon(batch, coords, spec, w_u, acc):
     return value
 
 
-def _loss_sup_snn(batch, coords, spec, w_u, acc):
+def _loss_sup_snn(batch, cols, spec, w_u, acc):
     tau = spec.tau
     sizes, keep, rows, i_flat, j_flat, i_n, j_n = _label_pairs(batch)
     bc = len(keep)
-    diff_p, d_pj = _dist(coords, i_flat, j_flat)
+    diff_p, d_pj = _dist(cols, i_flat, j_flat)
     lse_p, soft_p = _segment_lse(-d_pj / tau, sizes[keep])
-    diff_n, d_n = _dist(coords, i_n, j_n)
+    diff_n, d_n = _dist(cols, i_n, j_n)
     lse_n, soft_n = _lse_rows(-d_n.reshape(bc, batch.m) / tau)
     # -log( (1/|P|) sum e_p / sum e_n )
     value = (-lse_p + np.log(sizes[keep]) + lse_n).sum() / bc
@@ -402,12 +411,12 @@ def _loss_sup_snn(batch, coords, spec, w_u, acc):
     return value
 
 
-def _loss_tscne(batch, coords, spec, w_u, acc):
+def _loss_tscne(batch, cols, spec, w_u, acc):
     sizes, keep, rows, i_flat, j_flat, i_n, j_n = _label_pairs(batch)
     bc = len(keep)
-    diff_p, _, u = _phi(coords, i_flat, j_flat)
+    diff_p, _, u = _phi(cols, i_flat, j_flat)
     inv_sz = 1.0 / sizes[rows]
-    diff_n, _, phi_n = _phi(coords, i_n, j_n)
+    diff_n, _, phi_n = _phi(cols, i_n, j_n)
     v = phi_n.reshape(bc, batch.m).sum(axis=1)
     v_rows = v[(np.cumsum(sizes > 0) - 1)[rows]]
     starts = _segments(sizes[keep])
@@ -423,11 +432,11 @@ def _loss_tscne(batch, coords, spec, w_u, acc):
     acc.add_sq(i_n, j_n, np.repeat(dv, batch.m) * (-phi_n ** 2), diff_n)
     if w_u != 0.0:
         i_k, j_k = batch.anchors[keep], batch.positives[keep]
-        diff_k, _, up = _phi(coords, i_k, j_k)
+        diff_k, _, up = _phi(cols, i_k, j_k)
         n_mid = batch.midnears.shape[1]
         i_m = np.repeat(i_k, n_mid)
         j_m = batch.midnears[keep].ravel()
-        diff_m, _, phi_m = _phi(coords, i_m, j_m)
+        diff_m, _, phi_m = _phi(cols, i_m, j_m)
         w = phi_m.reshape(bc, n_mid).sum(axis=1)
         if spec.use_log_ratio:
             value += -w_u * np.log(up / (up + w)).sum() / bc
@@ -484,10 +493,11 @@ def evaluate(spec: LossSpec, batch: PairBatch, coords, epoch: int = 0,
     w_u = spec.schedule.w_u(epoch, n_epochs) if spec.kind in MIDNEAR_KINDS else 0.0
     if w_u != 0.0 and batch.midnears is None:
         raise SamplingError(f"{spec.kind} mid-near term needs mid-near indices in the batch")
-    acc = _Accumulator(coords)
+    cols = coords.T.copy()  # one contiguous array per coordinate
+    acc = _Accumulator(cols)
     with np.errstate(all="ignore"):  # overflow is reported below, not warned about
         # With every anchor skipped the loss is 0 and so is its gradient.
-        value = (_LOSS_FUNCS[spec.kind](batch, coords, spec, w_u, acc)
+        value = (_LOSS_FUNCS[spec.kind](batch, cols, spec, w_u, acc)
                  if skipped < batch.size else 0.0)
         grad, rows = acc.result()
     if not np.isfinite(value):

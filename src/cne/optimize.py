@@ -7,6 +7,7 @@ with momentum 0 one step moves the parameters by exactly -lr * gradient.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import asdict, dataclass
@@ -43,12 +44,12 @@ class OptimConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if not self.learning_rate >= 0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be >= 0 and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        if not self.grad_clip >= 0:
-            raise ConfigError("grad_clip must be >= 0")
+        if not 0 <= self.grad_clip < math.inf:
+            raise ConfigError("grad_clip must be >= 0 and finite")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.embedding_dim < 1:
@@ -112,8 +113,10 @@ def _sgd(data, graph, spec, cfg, params, what, forward):
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         epoch_loss = 0.0
+        w_u = spec.schedule.w_u(epoch, cfg.epochs)
         for step in range(steps):
-            batch, coords, backward = forward(sampler.next_batch())
+            # Mid-nears are drawn only in the epochs whose loss reads them.
+            batch, coords, backward = forward(sampler.next_batch(midnears=w_u != 0))
             try:
                 lg = evaluate(spec, batch, coords, epoch, cfg.epochs)
             except LossNumericsError as exc:
@@ -131,7 +134,7 @@ def _sgd(data, graph, spec, cfg, params, what, forward):
             "epoch": epoch,
             "mean_loss": epoch_loss / steps,
             "wall_ms": (time.perf_counter() - t0) * 1e3,
-            "w_u": spec.schedule.w_u(epoch, cfg.epochs),
+            "w_u": w_u,
         })
     return log
 

@@ -8,6 +8,7 @@ a true neighbor (collision probability O(k/N)).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -39,10 +40,10 @@ class ScheduleSpec:
     anneal_fraction: float = 0.5
 
     def __post_init__(self):
-        if not self.w_p > 0:
-            raise ConfigError("w_p must be positive")
-        if not (self.w_u_init >= 0 and self.w_u_final >= 0):
-            raise ConfigError("mid-near weights must be non-negative")
+        if not 0 < self.w_p < math.inf:
+            raise ConfigError("w_p must be positive and finite")
+        if not (0 <= self.w_u_init < math.inf and 0 <= self.w_u_final < math.inf):
+            raise ConfigError("mid-near weights must be non-negative and finite")
         if not 0.0 <= self.anneal_fraction <= 1.0:
             raise ConfigError("anneal_fraction must lie in [0, 1]")
 
@@ -155,7 +156,7 @@ def sample_edge_batch(graph: NeighborGraph, batch_size: int, m: int, rng) -> Pai
         raise SamplingError("cannot sample from an empty graph")
     picks = rng.integers(0, graph.n_edges, size=batch_size)
     flip = rng.random(batch_size) < 0.5
-    edges = graph.edges[picks]
+    edges = graph.edges.take(picks, axis=0)
     anchors = np.where(flip, edges[:, 1], edges[:, 0])
     positives = np.where(flip, edges[:, 0], edges[:, 1])
     negatives = _uniform_non_anchor(anchors[:, None], graph.n, (batch_size, m), rng)
@@ -277,9 +278,12 @@ class Sampler:
             raise SamplingError("max_label_positives must be >= 1 (or None for no cap)")
         self.rng = np.random.default_rng(self.seed)
 
-    def next_batch(self) -> PairBatch:
+    def next_batch(self, midnears: bool = True) -> PairBatch:
+        """The next batch. With midnears=False it has no mid-nears even when
+        need_midnears is set, and draws none from the generator: for steps
+        whose loss does not read them."""
         batch = sample_edge_batch(self.graph, self.batch_size, self.m, self.rng)
-        if self.need_midnears:
+        if self.need_midnears and midnears:
             batch.midnears = sample_midnears(self.data, batch.anchors, self.rng)
         if self.need_labels:
             attach_label_positives(batch, self.data.labels,

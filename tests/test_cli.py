@@ -251,6 +251,7 @@ def test_bench_partial_failure_still_ok(tmp_path, capsys):
     status = {r["loss"]: r["status"] for r in rows}
     assert status["umap"] == "ok"
     assert status["supcon"].startswith("error")
+    assert not (out / "supcon_seed0").exists()
 
 
 def test_bench_loads_and_builds_once(tmp_path, capsys, monkeypatch):
@@ -371,7 +372,9 @@ def test_config_file_label_column(tmp_path, capsys):
 BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1"),
                 ("momentum", "1"), ("grad-clip", "-1"), ("w-p", "0"), ("w-u-init", "-1"),
                 ("w-u-final", "-1"), ("anneal-fraction", "2"),
-                ("lr", "nan"), ("grad-clip", "nan"), ("w-u-init", "nan")]
+                ("lr", "nan"), ("grad-clip", "nan"), ("w-u-init", "nan"),
+                ("tau", "inf"), ("lr", "inf"), ("grad-clip", "inf"), ("w-p", "inf"),
+                ("w-u-init", "inf"), ("w-u-final", "inf")]
 
 
 @pytest.mark.parametrize("argv, ini", [
@@ -431,6 +434,21 @@ def test_supervised_loss_on_one_class_exits_2(tmp_path, capsys, monkeypatch, kin
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "two classes" in err
+
+
+@pytest.mark.parametrize("kind", SUPERVISED_KINDS)
+def test_bench_with_a_supervised_loss_on_one_class_exits_2(tmp_path, capsys, monkeypatch,
+                                                           kind):
+    # As in embed, labels that no loss of the grid can train on are rejected
+    # before the kNN graph is built. (A grid with a usable loss records the
+    # rejected cells' errors: test_bench_partial_failure_still_ok.)
+    monkeypatch.setattr(cli, "knn_graph", lambda *a, **kw: pytest.fail("graph built"))
+    argv = ["bench", "--data", "blobs:n_per_class=30,n_classes=1,dim=4",
+            "--losses", f"{kind},tscne", "--out", str(tmp_path / "out"), *FAST]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "two classes" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_dim_above_what_pca_supplies_exits_with_a_message(tmp_path, capsys):

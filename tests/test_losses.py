@@ -645,19 +645,47 @@ def test_accumulator_matches_sequential_scatter():
     from cne.losses import _Accumulator, _dist
     rng = np.random.default_rng(3)
     coords = rng.normal(size=(20, 3))
-    acc = _Accumulator(coords)
+    cols = coords.T.copy()
+    acc = _Accumulator(cols)
     for _ in range(3):
         i, j = rng.integers(0, 20, 30), rng.integers(0, 20, 30)
-        acc.add_sq(i, j, rng.normal(size=30), coords[i] - coords[j])
+        acc.add_sq(i, j, rng.normal(size=30), list(cols[:, i] - cols[:, j]))
         i, j = rng.integers(0, 20, 30), rng.integers(0, 20, 30)
-        acc.add_dist(i, j, rng.normal(size=30), *_dist(coords, i, j))
+        acc.add_dist(i, j, rng.normal(size=30), *_dist(cols, i, j))
     expect = np.zeros_like(coords)
-    for rows, contrib in zip(acc.rows, acc.contribs):
-        np.add.at(expect, rows, contrib)
+    for rows, *contrib in zip(acc.rows, *acc.contribs):
+        np.add.at(expect, rows, np.column_stack(contrib))
     grad, rows = acc.result()
     assert np.array_equal(grad, expect)
     touched = LossGrad(value=0.0, grad=grad, rows=rows).touched
     assert np.array_equal(touched, np.unique(np.concatenate(acc.rows)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pair_distances_sum_coordinates_in_order(d):
+    # One difference array per coordinate; the squared distance adds the
+    # coordinates' squares left to right. At d = 2 that is exactly what
+    # einsum gives on the row-major differences.
+    from cne.kernels import EPS_SQ_DIST, cauchy
+    from cne.losses import _dist, _phi
+    rng = np.random.default_rng(8)
+    coords = rng.normal(size=(50, d))
+    i, j = rng.integers(0, 50, 400), rng.integers(0, 50, 400)
+    i[0] = j[0]  # a coincident pair hits the clamps
+    rowwise = coords[i] - coords[j]
+    want = rowwise[:, 0] * rowwise[:, 0]
+    for c in range(1, d):
+        want = want + rowwise[:, c] * rowwise[:, c]
+    if d == 2:
+        assert np.array_equal(want, np.einsum("bd,bd->b", rowwise, rowwise))
+    cols = coords.T.copy()
+    diff, s, phi = _phi(cols, i, j)
+    assert np.array_equal(np.column_stack(diff), rowwise)
+    assert np.array_equal(s, np.maximum(want, EPS_SQ_DIST))
+    assert np.array_equal(phi, cauchy(np.maximum(want, EPS_SQ_DIST)))
+    diff, dist = _dist(cols, i, j)
+    assert np.array_equal(np.column_stack(diff), rowwise)
+    assert np.array_equal(dist, np.maximum(np.sqrt(want), 1e-30))
 
 
 def test_tscne_touched_is_every_sample_a_kept_anchor_pairs_with():

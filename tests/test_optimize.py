@@ -318,3 +318,25 @@ def test_training_loss_trend():
         tail = losses[-15:]
         # compare averages of the two halves of the tail
         assert tail[-8:].mean() <= tail[:8].mean() + 1e-3, kind
+
+
+@pytest.mark.parametrize("kind", ["trimap", "tscne", "umap"])
+def test_midnears_drawn_only_in_epochs_that_read_them(monkeypatch, kind):
+    # trimap's default schedule anneals w_u to 0 by half the epochs; from
+    # there on no step draws mid-nears. tscne's never reaches 0, and umap
+    # reads none.
+    from cne import sampling
+    calls = []
+    real = sampling.sample_midnears
+    monkeypatch.setattr(sampling, "sample_midnears",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    ds = small_blobs()
+    g = knn_graph(ds, k=5)
+    spec, cfg = default_spec(kind), OptimConfig(epochs=6, batch_size=64)
+    fit_nonparametric(ds, g, spec, cfg)
+    steps = -(-g.n_edges // cfg.batch_size)
+    reading = sum(spec.schedule.w_u(e, cfg.epochs) != 0 for e in range(cfg.epochs))
+    want = {"trimap": steps * reading, "tscne": steps * cfg.epochs, "umap": 0}[kind]
+    assert len(calls) == want
+    if kind == "trimap":
+        assert reading == 3

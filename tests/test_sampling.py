@@ -10,7 +10,7 @@ from cne import (
     random_batch, sample_edge_batch, sample_midnears,
 )
 from cne.neighbor_graph import NeighborGraph
-from cne.sampling import LabelPositives, attach_label_positives
+from cne.sampling import DEFAULT_N_MID, LabelPositives, attach_label_positives
 
 
 def sample_midnear(data, anchor, rng, pool=6):
@@ -430,3 +430,21 @@ def test_sampler_reproducible():
         assert np.array_equal(ba.midnears, bb.midnears)
         for sa, sb in zip(ba.label_positives, bb.label_positives):
             assert np.array_equal(sa, sb)
+
+
+def test_next_batch_without_midnears_draws_none():
+    # midnears=False leaves the mid-nears out, and draws none from the
+    # generator: the rest of the batch is what a sampler without them draws.
+    rng = np.random.default_rng(7)
+    ds = Dataset(points=rng.normal(size=(60, 4)), labels=rng.integers(0, 3, size=60))
+    g = knn_graph(ds, k=5)
+    kw = dict(graph=g, data=ds, batch_size=32, m=3, seed=11, need_labels=True)
+    with_mid = Sampler(need_midnears=True, **kw)
+    plain = Sampler(**kw)
+    for _ in range(3):
+        got, want = with_mid.next_batch(midnears=False), plain.next_batch()
+        assert got.midnears is None
+        assert np.array_equal(got.anchors, want.anchors)
+        assert np.array_equal(got.negatives, want.negatives)
+        assert np.array_equal(got.label_positives.positions, want.label_positives.positions)
+    assert with_mid.next_batch().midnears.shape == (32, DEFAULT_N_MID)
