@@ -19,6 +19,12 @@ def cauchy(d_sq):
     d_sq = np.asarray(d_sq, dtype=np.float64)
     if np.any(d_sq < 0):
         raise CneError("squared distance must be non-negative")
+    return cauchy_unchecked(d_sq)
+
+
+def cauchy_unchecked(d_sq):
+    """cauchy() of a float64 array already known to be non-negative, unchecked:
+    the losses pass squared distances they have just clamped."""
     return 1.0 / (d_sq + 1.0)
 
 

@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, LossNumericsError, SamplingError
-from .kernels import EPS_SQ_DIST, cauchy
-from .sampling import DEFAULT_M, PairBatch, ScheduleSpec
+from .kernels import EPS_SQ_DIST, cauchy_unchecked
+from .sampling import DEFAULT_M, LabelPositives, PairBatch, ScheduleSpec
 
 LOSS_KINDS = (
     "tsne", "umap", "nce", "trimap", "pacmap", "infonce",
@@ -182,7 +182,7 @@ def _phi(cols, i, j):
     on to _Accumulator.add_sq, so each pair set is gathered once."""
     diff = _diff(cols, i, j)
     s = np.maximum(_sq(diff), EPS_SQ_DIST)
-    return diff, s, cauchy(s)
+    return diff, s, cauchy_unchecked(s)
 
 
 def _dist(cols, i, j):
@@ -301,156 +301,133 @@ def _loss_pacmap(batch, cols, spec, w_u, acc):
     return value
 
 
-def _loss_infonce(batch, cols, spec, w_u, acc):
-    i, j = batch.anchors, batch.positives
-    b = len(i)
+def _ratio(acc, cols, sizes, i, j, i_n, j_n, w, n, log):
+    """The ratio term -1/n sum_r w_r f(u_r, V_g), with f = log(u/(u+V)) when
+    `log`, else u/V: u_r = phi(i[r], j[r]) over positive pairs in consecutive
+    groups of `sizes`, V_g the sum of phi over group g's equal share of the
+    negative pairs (i_n, j_n). Adds its gradient to acc and returns its value.
+    Keep each coefficient's order of operations: embeddings depend on its
+    last bit."""
     diff_p, _, u = _phi(cols, i, j)
-    i_n, j_n = _negatives(batch)
     diff_n, _, v_flat = _phi(cols, i_n, j_n)
-    v_sum = v_flat.reshape(b, batch.m).sum(axis=1)
-    total = u + v_sum
-    value = -(np.log(u) - np.log(total)).mean()
-    du = -(1.0 / u - 1.0 / total) / b
-    dv = np.repeat(1.0 / (b * total), batch.m)
+    g = len(sizes)
+    v = v_flat.reshape(g, -1).sum(axis=1)
+    v_r, starts = np.repeat(v, sizes), _segments(sizes)
+    if log:
+        value = -(np.log(u / (u + v_r)) * w).sum() / n
+        du = -(1.0 / u - 1.0 / (u + v_r)) * w / n
+        dv = np.add.reduceat(w / (u + v_r), starts) / n
+    else:
+        value = -((u / v_r) * w).sum() / n
+        du = -w / (v_r * n)
+        dv = np.add.reduceat(w * u, starts) / (v ** 2) / n
     acc.add_sq(i, j, du * (-u ** 2), diff_p)
-    acc.add_sq(i_n, j_n, dv * (-v_flat ** 2), diff_n)
+    acc.add_sq(i_n, j_n, np.repeat(dv, len(v_flat) // g) * (-v_flat ** 2), diff_n)
     return value
+
+
+def _loss_infonce(batch, cols, spec, w_u, acc):
+    b = batch.size
+    return _ratio(acc, cols, np.ones(b, np.intp), batch.anchors, batch.positives,
+                  *_negatives(batch), 1.0, b, True)
 
 
 # --- Temperature-kernel losses ----------------------------------------------
 
-def _loss_sscl(batch, cols, spec, w_u, acc):
-    tau = spec.tau
-    i, j = batch.anchors, batch.positives
-    b = len(i)
+def _softmax(acc, cols, tau, sizes, i, j, i_n, j_n, incl):
+    """The softmax term 1/g sum_r [d_r/tau + log sum_k e^(-d_k/tau)] / |P_r| over
+    positive pairs (i, j) in g consecutive groups of `sizes`, |P_r| the size of
+    pair r's group and k over the group's equal share of the negative pairs
+    (i_n, j_n), joined by pair r itself when `incl`. Adds its gradient to acc
+    and returns its value."""
+    g = len(sizes)
+    inv_sz = np.repeat(1.0 / sizes, sizes)
     diff_p, d_p = _dist(cols, i, j)
-    i_n, j_n = _negatives(batch)
-    diff_n, d_n_flat = _dist(cols, i_n, j_n)
-    a_n = -d_n_flat.reshape(b, batch.m) / tau
-    if spec.use_incl_positive:
-        lse, soft = _lse_rows(np.column_stack([-d_p / tau, a_n]))
-        coef_p = (1.0 - soft[:, 0]) / (tau * b)
-        soft_n = soft[:, 1:]
+    diff_n, d_n = _dist(cols, i_n, j_n)
+    d_n = d_n.reshape(g, -1)
+    if incl:
+        # Per-positive denominator: its own similarity joins the negatives.
+        grp = np.repeat(np.arange(g), sizes)
+        i_n, j_n, d_n = (x.reshape(g, -1)[grp] for x in (i_n, j_n, d_n))
+        diff_n = [x.reshape(g, -1)[grp].ravel() for x in diff_n]
+        lse, soft = _lse_rows(np.column_stack([-d_p / tau, -d_n / tau]))
+        value = ((d_p / tau + lse) * inv_sz).sum() / g
+        coef_p = (1.0 - soft[:, 0]) * inv_sz / (tau * g)
+        coef_n = -(soft[:, 1:] * inv_sz[:, None]) / (tau * g)
     else:
-        lse, soft_n = _lse_rows(a_n)
-        coef_p = np.full(b, 1.0 / (tau * b))
-    value = (d_p / tau + lse).mean()
+        lse, soft_n = _lse_rows(-d_n / tau)
+        value = ((d_p / tau) * inv_sz).sum() / g + lse.sum() / g
+        coef_p = inv_sz / (tau * g)
+        coef_n = -soft_n / (tau * g)
     acc.add_dist(i, j, coef_p, diff_p, d_p)
-    acc.add_dist(i_n, j_n, (-soft_n / (tau * b)).ravel(), diff_n, d_n_flat)
+    acc.add_dist(i_n.ravel(), j_n.ravel(), coef_n.ravel(), diff_n, d_n.ravel())
     return value
+
+
+def _mass(acc, cols, tau, sizes, i, j, i_n, j_n, neg_sizes=None):
+    """The mass term 1/g sum_g -log(sum_r e^(-d_r/tau) / sum_k e^(-d_k/tau))
+    over positive pairs (i, j) in g consecutive groups of `sizes`, k over
+    group g's negative pairs: consecutive groups of `neg_sizes`, or equal
+    shares of (i_n, j_n) when None. Adds its gradient to acc and returns its
+    value."""
+    g = len(sizes)
+    diff_p, d_p = _dist(cols, i, j)
+    lse_p, soft_p = _segment_lse(-d_p / tau, sizes)
+    diff_n, d_n = _dist(cols, i_n, j_n)
+    lse_n, soft_n = (_lse_rows(-d_n.reshape(g, -1) / tau) if neg_sizes is None
+                     else _segment_lse(-d_n / tau, neg_sizes))
+    acc.add_dist(i, j, soft_p / (tau * g), diff_p, d_p)
+    acc.add_dist(i_n, j_n, -soft_n.ravel() / (tau * g), diff_n, d_n)
+    return (-lse_p + lse_n).sum() / g
+
+
+def _loss_sscl(batch, cols, spec, w_u, acc):
+    return _softmax(acc, cols, spec.tau, np.ones(batch.size, np.intp), batch.anchors,
+                    batch.positives, *_negatives(batch), spec.use_incl_positive)
 
 
 def _loss_snn(batch, cols, spec, w_u, acc):
-    tau = spec.tau
     rows = np.argsort(batch.anchors, kind="stable")  # grouped by anchor
-    i_p, j_p = batch.anchors[rows], batch.positives[rows]
-    sizes = np.unique(i_p, return_counts=True)[1]
-    n_groups = len(sizes)
-    diff_p, d_p = _dist(cols, i_p, j_p)
-    lse_p, soft_p = _segment_lse(-d_p / tau, sizes)
-    i_n, j_n = _negatives(batch, rows)
-    diff_n, d_n = _dist(cols, i_n, j_n)
-    lse_n, soft_n = _segment_lse(-d_n / tau, sizes * batch.m)
-    value = (-lse_p + lse_n).sum() / n_groups
-    acc.add_dist(i_p, j_p, soft_p / (tau * n_groups), diff_p, d_p)
-    acc.add_dist(i_n, j_n, -soft_n / (tau * n_groups), diff_n, d_n)
-    return value
+    sizes = np.unique(batch.anchors, return_counts=True)[1]
+    return _mass(acc, cols, spec.tau, sizes, batch.anchors[rows], batch.positives[rows],
+                 *_negatives(batch, rows), sizes * batch.m)
 
+
+# --- Supervised losses: the terms above over label-positive groups ------------
 
 def _label_pairs(batch):
-    """(sizes, keep, rows, i, j, i_n, j_n) of the batch's label positives: set
-    size per anchor, the anchors with a non-empty set, every (anchor, label
-    positive) pair in anchor order as its batch row and its two sample
-    indices, and the kept anchors' negative pairs as _negatives gives them."""
+    """(keep, sizes, i, j, i_n, j_n) of the anchors with a non-empty label-positive
+    set: their batch rows and set sizes, every (anchor, label positive) pair in
+    anchor order, and their negative pairs as _negatives gives them."""
     lp = batch.label_positives
     sizes = np.diff(lp.offsets)
     keep = np.flatnonzero(sizes)
     rows = np.repeat(np.arange(batch.size), sizes)
-    return (sizes, keep, rows, batch.anchors[rows], batch.anchors[lp.positions],
+    return (keep, sizes[keep], batch.anchors[rows], batch.anchors[lp.positions],
             *_negatives(batch, keep))
 
 
 def _loss_supcon(batch, cols, spec, w_u, acc):
-    tau = spec.tau
-    sizes, keep, rows, i_flat, j_flat, i_n, j_n = _label_pairs(batch)
-    bc = len(keep)
-    diff_p, d_pj = _dist(cols, i_flat, j_flat)
-    inv_sz = 1.0 / sizes[rows]
-    diff_n, d_n_flat = _dist(cols, i_n, j_n)
-    d_n = d_n_flat.reshape(bc, batch.m)
-    if spec.use_incl_positive:
-        # Per-positive denominator: its own similarity joins the negatives.
-        pos_in_keep = (np.cumsum(sizes > 0) - 1)[rows]
-        lse, soft = _lse_rows(np.column_stack([-d_pj / tau, -d_n[pos_in_keep] / tau]))
-        value = ((d_pj / tau + lse) * inv_sz).sum() / bc
-        acc.add_dist(i_flat, j_flat, (1.0 - soft[:, 0]) * inv_sz / (tau * bc), diff_p, d_pj)
-        coef_n = -(soft[:, 1:] * inv_sz[:, None]) / (tau * bc)
-        acc.add_dist(*_negatives(batch, rows), coef_n.ravel(),
-                     [x.reshape(bc, batch.m)[pos_in_keep].ravel() for x in diff_n],
-                     d_n[pos_in_keep].ravel())
-    else:
-        lse_n, soft_n = _lse_rows(-d_n / tau)
-        value = ((d_pj / tau) * inv_sz).sum() / bc + lse_n.sum() / bc
-        acc.add_dist(i_flat, j_flat, inv_sz / (tau * bc), diff_p, d_pj)
-        acc.add_dist(i_n, j_n, (-soft_n / (tau * bc)).ravel(), diff_n, d_n_flat)
-    return value
+    _, *groups = _label_pairs(batch)
+    return _softmax(acc, cols, spec.tau, *groups, spec.use_incl_positive)
 
 
 def _loss_sup_snn(batch, cols, spec, w_u, acc):
-    tau = spec.tau
-    sizes, keep, rows, i_flat, j_flat, i_n, j_n = _label_pairs(batch)
-    bc = len(keep)
-    diff_p, d_pj = _dist(cols, i_flat, j_flat)
-    lse_p, soft_p = _segment_lse(-d_pj / tau, sizes[keep])
-    diff_n, d_n = _dist(cols, i_n, j_n)
-    lse_n, soft_n = _lse_rows(-d_n.reshape(bc, batch.m) / tau)
-    # -log( (1/|P|) sum e_p / sum e_n )
-    value = (-lse_p + np.log(sizes[keep]) + lse_n).sum() / bc
-    acc.add_dist(i_flat, j_flat, soft_p / (tau * bc), diff_p, d_pj)
-    acc.add_dist(i_n, j_n, (-soft_n / (tau * bc)).ravel(), diff_n, d_n)
-    return value
+    # -log( (1/|P|) sum e_p / sum e_n ): the mass term plus the mean log |P|.
+    _, *groups = _label_pairs(batch)
+    return _mass(acc, cols, spec.tau, *groups) + np.log(groups[0]).mean()
 
 
 def _loss_tscne(batch, cols, spec, w_u, acc):
-    sizes, keep, rows, i_flat, j_flat, i_n, j_n = _label_pairs(batch)
-    bc = len(keep)
-    diff_p, _, u = _phi(cols, i_flat, j_flat)
-    inv_sz = 1.0 / sizes[rows]
-    diff_n, _, phi_n = _phi(cols, i_n, j_n)
-    v = phi_n.reshape(bc, batch.m).sum(axis=1)
-    v_rows = v[(np.cumsum(sizes > 0) - 1)[rows]]
-    starts = _segments(sizes[keep])
-    if spec.use_log_ratio:
-        value = -(np.log(u / (u + v_rows)) * inv_sz).sum() / bc
-        du = -(1.0 / u - 1.0 / (u + v_rows)) * inv_sz / bc
-        dv = np.add.reduceat(inv_sz / (u + v_rows), starts) / bc
-    else:
-        value = -((u / v_rows) * inv_sz).sum() / bc
-        du = -(1.0 / v_rows) * inv_sz / bc
-        dv = np.add.reduceat(inv_sz * u, starts) / (v ** 2) / bc
-    acc.add_sq(i_flat, j_flat, du * (-u ** 2), diff_p)
-    acc.add_sq(i_n, j_n, np.repeat(dv, batch.m) * (-phi_n ** 2), diff_n)
+    keep, *groups = _label_pairs(batch)
+    sizes, bc, log = groups[0], len(keep), spec.use_log_ratio
+    value = _ratio(acc, cols, *groups, 1.0 / np.repeat(sizes, sizes), bc, log)
     if w_u != 0.0:
-        i_k, j_k = batch.anchors[keep], batch.positives[keep]
-        diff_k, _, up = _phi(cols, i_k, j_k)
-        n_mid = batch.midnears.shape[1]
-        i_m = np.repeat(i_k, n_mid)
-        j_m = batch.midnears[keep].ravel()
-        diff_m, _, phi_m = _phi(cols, i_m, j_m)
-        w = phi_m.reshape(bc, n_mid).sum(axis=1)
-        if spec.use_log_ratio:
-            value += -w_u * np.log(up / (up + w)).sum() / bc
-            dup = -w_u * (1.0 / up - 1.0 / (up + w)) / bc
-            dm = np.repeat(w_u / (up + w) / bc, n_mid)
-        else:
-            value += -w_u * (up / w).sum() / bc
-            dup = -w_u / (w * bc)
-            dm = np.repeat(w_u * up / (w ** 2) / bc, n_mid)
-        acc.add_sq(i_k, j_k, dup * (-up ** 2), diff_k)
-        acc.add_sq(i_m, j_m, dm * (-phi_m ** 2), diff_m)
+        # Each kept anchor's edge positive against its mid-nears.
+        i, mid = batch.anchors[keep], batch.midnears[keep]
+        value += _ratio(acc, cols, np.ones(bc, np.intp), i, batch.positives[keep],
+                        np.repeat(i, mid.shape[1]), mid.ravel(), w_u, bc, log)
     return value
-
-
 _LOSS_FUNCS = {
     "tsne": _loss_tsne,
     "umap": _loss_umap,
@@ -481,6 +458,8 @@ def evaluate(spec: LossSpec, batch: PairBatch, coords, epoch: int = 0,
     if spec.supervised and lp is None:
         raise SamplingError("supervised loss requires label positives in the batch")
     if lp is not None:
+        if not isinstance(lp, LabelPositives):
+            raise SamplingError(f"label_positives is a {type(lp).__name__}, not a LabelPositives")
         off, b = lp.offsets, batch.size
         if (len(off) != b + 1 or off[0] != 0 or off[-1] != len(lp.positions)
                 or np.any(off[1:] < off[:-1])):

@@ -56,6 +56,17 @@ def knn_recall(data: Dataset, emb: Embedding, k: int = DEFAULT_K_RECALL, *,
     return hits / (n * k)
 
 
+def _label_classes(labels, emb: Embedding, metric: str):
+    """np.unique(labels) with inverse and counts, for one label per embedding row."""
+    if labels is None:
+        raise CneError(f"{metric} requires labels")
+    labels = np.asarray(labels)
+    if labels.shape != (emb.n,):
+        raise CneError(f"{metric} needs one label per embedding row: "
+                       f"labels of shape {labels.shape} for {emb.n} rows")
+    return np.unique(labels, return_inverse=True, return_counts=True)
+
+
 def knn_accuracy(labels, emb: Embedding, k: int = DEFAULT_K_ACCURACY, *,
                  neighbors=None) -> float:
     """Leave-one-out majority-vote accuracy in embedding space.
@@ -63,11 +74,8 @@ def knn_accuracy(labels, emb: Embedding, k: int = DEFAULT_K_ACCURACY, *,
     Vote ties go to the smaller label id. `neighbors` is as for
     :func:`knn_recall`.
     """
-    if labels is None:
-        raise CneError("knn_accuracy requires labels")
-    labels = np.asarray(labels)
     n = emb.n
-    classes, dense = np.unique(labels, return_inverse=True)
+    classes, dense, _ = _label_classes(labels, emb, "knn_accuracy")
     if len(classes) < 2:
         raise CneError("knn_accuracy is degenerate with a single class")
     nbrs = _first_columns(emb.coords, k, neighbors)
@@ -85,10 +93,7 @@ def silhouette(labels, emb: Embedding) -> float:
     Row blocks against a coordinate-major copy grouped by class: (x_0-g_0)^2,
     then += (x_c-g_c)^2 per later c, in the two buffers of
     :func:`~cne.neighbor_graph.map_row_blocks`."""
-    if labels is None:
-        raise CneError("silhouette requires labels")
-    labels = np.asarray(labels)
-    classes, dense, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    classes, dense, counts = _label_classes(labels, emb, "silhouette")
     if len(classes) < 2:
         raise CneError("silhouette requires at least 2 classes")
     if counts.min() < 2:

@@ -226,6 +226,8 @@ class Encoder:
 
         (n_sizes,) = struct.unpack("<I", take(4))
         sizes = struct.unpack(f"<{n_sizes}I", take(4 * n_sizes))
+        if n_sizes < 2 or 0 in sizes:
+            raise CneError(f"{path}: encoder layer sizes {sizes} need two or more, none 0")
         enc = cls.__new__(cls)
         enc.sizes = tuple(sizes)
         enc.weights = []

@@ -64,17 +64,6 @@ class LabelPositives(Sequence):
     positions: np.ndarray  # flat batch positions, anchor by anchor
     offsets: np.ndarray    # (B + 1,), offsets[0] == 0, offsets[-1] == len(positions)
 
-    @classmethod
-    def of(cls, sets) -> "LabelPositives":
-        """`sets` itself when already in CSR form, else built once from B
-        per-anchor sequences of batch positions."""
-        if isinstance(sets, cls):
-            return sets
-        sets = [np.asarray(s, dtype=np.int64).ravel() for s in sets]
-        offsets = np.zeros(len(sets) + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in sets], out=offsets[1:])
-        return cls(np.concatenate(sets) if sets else offsets[:0], offsets)
-
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
@@ -93,8 +82,7 @@ class PairBatch:
 
     label_positives holds, per anchor, positions into `anchors` (not dataset
     indices) of batch members sharing the anchor's label, stored as one
-    LabelPositives (CSR). Per-anchor sequences assigned to it are converted
-    once.
+    LabelPositives (CSR).
     """
 
     anchors: np.ndarray            # (B,)
@@ -102,11 +90,6 @@ class PairBatch:
     negatives: np.ndarray          # (B, m)
     midnears: np.ndarray | None = None                 # (B, n_mid)
     label_positives: LabelPositives | None = None      # B sets of batch positions
-
-    def __setattr__(self, name, value):
-        if name == "label_positives" and value is not None:
-            value = LabelPositives.of(value)
-        super().__setattr__(name, value)
 
     @property
     def size(self) -> int:

@@ -19,7 +19,7 @@ from cne import (
 )
 from cne.cli import main as cli_main
 from cne.neighbor_graph import affinity
-from cne.sampling import sample_edge_batch
+from cne.sampling import LabelPositives, sample_edge_batch
 from cne.neighbor_graph import NeighborGraph
 
 BENCH_SEEDS = (0, 1, 2, 3, 4)
@@ -104,8 +104,7 @@ def test_criterion_2_algebraic_identities(verdict):
     batch = random_batch(n, 4, 5, rng)
     batch.anchors = np.array([0, 1, 2, 3])
     batch.positives = np.array([1, 0, 3, 2])
-    batch.label_positives = [np.array([1]), np.array([0]),
-                             np.array([3]), np.array([2])]
+    batch.label_positives = LabelPositives(np.array([1, 0, 3, 2]), np.arange(5))
     sscl_v = evaluate(LossSpec(kind="sscl"), batch, coords).value
     supcon_v = evaluate(LossSpec(kind="supcon"), batch, coords).value
     sup_snn_v = evaluate(LossSpec(kind="sup_snn"), batch, coords).value

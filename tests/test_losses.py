@@ -16,14 +16,19 @@ from cne.sampling import LabelPositives
 ZERO_SCHEDULE = ScheduleSpec(w_u_init=0.0, w_u_final=0.0)
 
 
+def csr(sets):
+    """LabelPositives of B per-anchor lists of batch positions."""
+    offsets = np.concatenate(([0], np.cumsum([len(s) for s in sets]))).astype(np.int64)
+    return LabelPositives(np.array([p for s in sets for p in s], dtype=np.int64), offsets)
+
+
 def pair_batch(anchors, positives, negatives, midnears=None, label_positives=None):
     return PairBatch(
         anchors=np.asarray(anchors),
         positives=np.asarray(positives),
         negatives=np.asarray(negatives),
         midnears=None if midnears is None else np.asarray(midnears),
-        label_positives=None if label_positives is None else
-        [np.asarray(s, dtype=np.int64) for s in label_positives],
+        label_positives=None if label_positives is None else csr(label_positives),
     )
 
 
@@ -404,6 +409,32 @@ def test_sup_snn_single_label_positive_reduces_to_supcon():
     assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
+def test_supervised_losses_are_their_self_supervised_twins():
+    # Each anchor's one label positive is the batch row whose anchor is its
+    # edge positive: the supervised losses then pair exactly what their
+    # self-supervised twins pair, through the same shared term.
+    rng = np.random.default_rng(21)
+    coords = rng.normal(size=(30, 2))
+    batch = pair_batch([3, 0, 5, 1, 4, 2], [0, 3, 1, 5, 2, 4],
+                       rng.integers(6, 30, size=(6, 5)),
+                       label_positives=[[1], [0], [3], [2], [5], [4]])
+
+    def both(supervised, twin):
+        return evaluate(supervised, batch, coords), evaluate(twin, batch, coords)
+
+    for incl in (False, True):
+        sup, twin = both(LossSpec(kind="supcon", denominator_includes_positive=incl),
+                         LossSpec(kind="sscl", denominator_includes_positive=incl))
+        assert np.array_equal(sup.grad, twin.grad) and sup.value == twin.value
+    sup, twin = both(LossSpec(kind="tscne", log_ratio=True, schedule=ZERO_SCHEDULE),
+                     LossSpec(kind="infonce"))
+    assert np.array_equal(sup.grad, twin.grad) and sup.value == twin.value
+    # snn pools its negatives per anchor group, sup_snn reduces them row by row.
+    sup, twin = both(LossSpec(kind="sup_snn"), LossSpec(kind="snn"))
+    np.testing.assert_allclose(sup.grad, twin.grad, rtol=0, atol=1e-12)
+    assert sup.value == pytest.approx(twin.value, rel=0, abs=1e-12)
+
+
 def test_sup_snn_scalar():
     # two label positives with e = {0.6, 0.2} at tau=1 and a negative
     # coincident with the anchor (e_n = 1): per-anchor term -log(0.4)
@@ -606,6 +637,11 @@ def test_evaluate_rejects_out_of_range_batch():
                            label_positives=[[bad], [0], [1]])
         with pytest.raises(LossNumericsError):
             evaluate(LossSpec(kind="supcon", m=1), batch, coords)
+    # Per-anchor lists are not a LabelPositives.
+    batch = pair_batch([0, 1, 2], [1, 2, 0], [[3], [4], [3]])
+    batch.label_positives = [[1], [0], [1]]
+    with pytest.raises(SamplingError, match="not a LabelPositives"):
+        evaluate(LossSpec(kind="supcon", m=1), batch, coords)
     # Offsets must partition the positions over the B anchors.
     for offsets in ([0, 1, 2], [0, 2, 1, 3], [1, 1, 2, 3], [0, 1, 2, 2]):
         batch = pair_batch([0, 1, 2], [1, 2, 0], [[3], [4], [3]])

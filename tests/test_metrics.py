@@ -187,6 +187,16 @@ def test_silhouette_requires_class_sizes():
         silhouette(np.array([0, 0, 1]), Embedding(np.zeros((3, 2))))
 
 
+@pytest.mark.parametrize("n_labels, n_rows", [(9, 10), (12, 10), (20, 30)])
+def test_label_metrics_reject_a_label_count_other_than_the_row_count(n_labels, n_rows):
+    # Without the check each case ends in a raw ValueError or IndexError.
+    emb = Embedding(np.random.default_rng(0).normal(size=(n_rows, 2)))
+    labels = np.arange(n_labels) % 2
+    for metric in (silhouette, lambda lab, e: knn_accuracy(lab, e, k=3)):
+        with pytest.raises(CneError, match="one label per embedding row"):
+            metric(labels, emb)
+
+
 def test_metrics_rigid_motion_and_scale_invariance():
     rng = np.random.default_rng(8)
     n = 40

@@ -1,5 +1,7 @@
 """Training loops, initialization, the encoder network, and checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from cne import (
     transform,
 )
 from cne.losses import SUPERVISED_KINDS, evaluate
-from cne.optimize import pca_init
+from cne.optimize import ENCODER_MAGIC, pca_init
 
 
 def small_blobs(seed=0):
@@ -230,10 +232,15 @@ def test_encoder_checkpoint_round_trip(tmp_path):
 def test_encoder_load_rejects_garbage(tmp_path):
     # Garbage, a checkpoint cut inside its size header (10 bytes) or inside
     # its first weight matrix (100 bytes), and one with bytes after its end.
+    # Then well-formed files of degenerate networks: one layer size (which
+    # would load with no layers and transform as the identity), no sizes, and
+    # a zero width.
     path = tmp_path / "enc.bin"
     Encoder(in_dim=5, out_dim=2, seed=1).save(path)
     whole = path.read_bytes()
-    for raw in (b"not a checkpoint", whole[:10], whole[:100], whole + bytes(8)):
+    degenerate = [ENCODER_MAGIC + struct.pack(f"<I{len(s)}I", len(s), *s) + bytes(8 * n)
+                  for s, n in (((5,), 0), ((), 0), ((5, 0, 2), 2))]  # n: the floats its layers hold
+    for raw in (b"not a checkpoint", whole[:10], whole[:100], whole + bytes(8), *degenerate):
         path.write_bytes(raw)
         with pytest.raises(CneError):
             Encoder.load(path)

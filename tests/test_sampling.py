@@ -300,20 +300,15 @@ def test_label_positive_cap_below_one_is_rejected():
     Sampler(graph=g, data=ds, need_labels=True, max_label_positives=None)
 
 
-def test_label_positives_lists_convert_to_csr():
+def test_label_positives_read_as_a_sequence():
+    lp = LabelPositives(np.array([1, 2, 0]), np.array([0, 2, 2, 3]))
     batch = PairBatch(anchors=np.arange(3), positives=np.zeros(3, dtype=np.int64),
-                      negatives=np.zeros((3, 1), dtype=np.int64),
-                      label_positives=[[1, 2], [], [0]])
-    lp = batch.label_positives
-    assert isinstance(lp, LabelPositives)
-    assert lp.positions.tolist() == [1, 2, 0] and lp.offsets.tolist() == [0, 2, 2, 3]
+                      negatives=np.zeros((3, 1), dtype=np.int64), label_positives=lp)
     assert [s.tolist() for s in lp] == [[1, 2], [], [0]]
     assert len(lp) == 3 and lp[-1].tolist() == [0]
     with pytest.raises(IndexError):
         lp[3]
     assert batch.remap(np.arange(3)).label_positives is lp
-    batch.label_positives = [np.array([2]), np.array([0]), np.array([1])]
-    assert batch.label_positives.positions.tolist() == [2, 0, 1]
 
 
 @settings(max_examples=200, deadline=None)
