@@ -18,8 +18,7 @@ from .metrics import QualityReport, knn_accuracy, knn_recall, quality_report, si
 from .neighbor_graph import NeighborGraph, affinity, knn_graph
 from .optimize import Encoder, OptimConfig, fit_nonparametric, fit_parametric, transform
 from .sampling import (
-    LabelPositives, PairBatch, Sampler, ScheduleSpec, random_batch, sample_edge_batch,
-    sample_midnears,
+    LabelPositives, PairBatch, Sampler, random_batch, sample_edge_batch, sample_midnears,
 )
 from .svgplot import emit_svg, render_svg
 
@@ -34,7 +33,7 @@ __all__ = [
     "QualityReport", "knn_accuracy",
     "knn_recall", "quality_report", "silhouette", "NeighborGraph", "affinity",
     "knn_graph", "Encoder", "OptimConfig", "fit_nonparametric", "fit_parametric",
-    "transform", "LabelPositives", "PairBatch", "Sampler", "ScheduleSpec",
+    "transform", "LabelPositives", "PairBatch", "Sampler",
     "random_batch", "sample_edge_batch", "sample_midnears",
     "emit_svg", "render_svg",
 ]

@@ -18,7 +18,7 @@ import json
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,9 @@ from .errors import CneError, ConfigError
 from .losses import LOSS_KINDS, LossSpec, grad_check, loss_defaults
 from .metrics import quality_report
 from .neighbor_graph import DEFAULT_K, knn_graph
-from .optimize import MODES, OptimConfig, check_labels, fit_nonparametric, fit_parametric
-from .sampling import DEFAULT_M, ScheduleSpec, random_batch
+from .optimize import (MODES, OptimConfig, check_batch_shape, check_labels, fit_nonparametric,
+                       fit_parametric)
+from .sampling import DEFAULT_M, random_batch
 from .svgplot import emit_svg
 
 EXIT_OK = 0
@@ -41,7 +42,10 @@ GRADCHECK_TOLERANCE = 1e-4
 
 def _load_config_file(path) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path}: {str(exc).splitlines()[0]}") from None
     if not read:
         raise ConfigError(f"config file {path} not found")
     flat = {}
@@ -86,7 +90,7 @@ DEFAULTS = {
     "deterministic": True,  # accepted and recorded; every run is deterministic
     "plot": False,
     **{RENAMES.get(f.name, f.name): f.default
-       for cls in (LossSpec, ScheduleSpec, OptimConfig)
+       for cls in (LossSpec, OptimConfig)
        for f in fields(cls) if f.default is not MISSING},
 }
 PARAMETRIC_DEFAULTS = {"epochs": 100, "lr": 0.01}
@@ -174,9 +178,9 @@ def _kwargs(cls, cfg: dict) -> dict:
 
 def _specs(cfg: dict) -> tuple[LossSpec, OptimConfig]:
     """The run's LossSpec and OptimConfig; an invalid setting raises."""
-    schedule = ScheduleSpec(**_kwargs(ScheduleSpec, cfg))
-    spec = LossSpec(schedule=schedule, **_kwargs(LossSpec, cfg))
-    return spec, OptimConfig(**_kwargs(OptimConfig, cfg))
+    spec, optim = LossSpec(**_kwargs(LossSpec, cfg)), OptimConfig(**_kwargs(OptimConfig, cfg))
+    check_batch_shape(spec, optim)
+    return spec, optim
 
 
 def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
@@ -199,8 +203,7 @@ def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
         for entry in log:
             fh.write(json.dumps(entry) + "\n")
     resolved = {k: v for k, v in cfg.items() if k != "out"}
-    resolved["loss_spec"] = spec.to_dict()
-    resolved["optim"] = optim.to_dict()
+    resolved["loss_spec"], resolved["optim"] = asdict(spec), asdict(optim)
     with open(out / "config.json", "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
     report = quality_report(ds, emb, input_neighbors=graph.neighbors)
@@ -405,7 +408,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except CneError as exc:
+    except (CneError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_RUNTIME
 

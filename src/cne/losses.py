@@ -13,13 +13,13 @@ is exactly the negation of the contribution to j.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, LossNumericsError, SamplingError
 from .kernels import EPS_SQ_DIST, cauchy_unchecked
-from .sampling import DEFAULT_M, LabelPositives, PairBatch, ScheduleSpec
+from .sampling import DEFAULT_M, LabelPositives, PairBatch
 
 LOSS_KINDS = (
     "tsne", "umap", "nce", "trimap", "pacmap", "infonce",
@@ -47,18 +47,8 @@ def loss_defaults(kind: str) -> dict:
 
 
 def default_spec(kind: str, **overrides) -> "LossSpec":
-    """LossSpec for `kind` with the per-loss defaults filled in.
-
-    Schedule fields (w_p, w_u_init, w_u_final, anneal_fraction) may be passed
-    flat; explicit overrides win over the per-loss defaults.
-    """
-    merged = loss_defaults(kind)
-    merged.update(overrides)
-    sched_keys = [f.name for f in fields(ScheduleSpec)]
-    sched_kwargs = {k: merged.pop(k) for k in sched_keys if k in merged}
-    if sched_kwargs and "schedule" not in merged:
-        merged["schedule"] = ScheduleSpec(**sched_kwargs)
-    return LossSpec(kind=kind, **merged)
+    """LossSpec for `kind`: its per-loss defaults, with `overrides` winning."""
+    return LossSpec(kind=kind, **{**loss_defaults(kind), **overrides})
 
 
 @dataclass(frozen=True)
@@ -73,11 +63,16 @@ class LossSpec:
     kind: str = "umap"
     m: int = DEFAULT_M
     tau: float = 0.5
-    schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     log_ratio: bool = False
     corrected_pacmap_sign: bool = True
     denominator_includes_positive: bool = False
     paper_as_written: bool = False
+    # pacmap's positive weight; the mid-near weight w_u() goes linearly from
+    # w_u_init to w_u_final over the first anneal_fraction of the epochs.
+    w_p: float = 1.0
+    w_u_init: float = 1.0
+    w_u_final: float = 0.0
+    anneal_fraction: float = 0.5
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -86,6 +81,21 @@ class LossSpec:
             raise ConfigError("m must be >= 1")
         if not 0 < self.tau < math.inf:
             raise ConfigError("tau must be positive and finite")
+        if not 0 < self.w_p < math.inf:
+            raise ConfigError("w_p must be positive and finite")
+        if not (0 <= self.w_u_init < math.inf and 0 <= self.w_u_final < math.inf):
+            raise ConfigError("mid-near weights must be non-negative and finite")
+        if not 0.0 <= self.anneal_fraction <= 1.0:
+            raise ConfigError("anneal_fraction must lie in [0, 1]")
+
+    def w_u(self, epoch: int, n_epochs: int) -> float:
+        """The mid-near weight at `epoch`; 0.0 for a kind with no mid-near term."""
+        if self.kind not in MIDNEAR_KINDS:
+            return 0.0
+        t_anneal = self.anneal_fraction * n_epochs
+        if t_anneal <= 0 or epoch >= t_anneal:
+            return self.w_u_final
+        return self.w_u_init + (self.w_u_final - self.w_u_init) * (epoch / t_anneal)
 
     @property
     def use_log_ratio(self) -> bool:
@@ -102,12 +112,6 @@ class LossSpec:
     @property
     def supervised(self) -> bool:
         return self.kind in SUPERVISED_KINDS
-
-    def to_dict(self) -> dict:
-        """The fields, with the schedule's merged in flat."""
-        flat = asdict(self)
-        flat.update(flat.pop("schedule"))
-        return flat
 
 
 @dataclass
@@ -290,7 +294,7 @@ def _bounded(acc, cols, i, j, coef):
 def _loss_pacmap(batch, cols, spec, w_u, acc):
     i = batch.anchors
     b = len(i)
-    w_p = spec.schedule.w_p
+    w_p = spec.w_p
     value = -w_p * _bounded(acc, cols, i, batch.positives, w_p / b).sum() / b
     if w_u != 0.0:
         value += -w_u * _bounded(acc, cols, np.repeat(i, batch.midnears.shape[1]),
@@ -469,7 +473,7 @@ def evaluate(spec: LossSpec, batch: PairBatch, coords, epoch: int = 0,
             raise LossNumericsError(f"label-positive positions outside 0..{b - 1}")
         if spec.supervised:  # an anchor with an empty set is skipped
             skipped = b - np.count_nonzero(np.diff(off))
-    w_u = spec.schedule.w_u(epoch, n_epochs) if spec.kind in MIDNEAR_KINDS else 0.0
+    w_u = spec.w_u(epoch, n_epochs)
     if w_u != 0.0 and batch.midnears is None:
         raise SamplingError(f"{spec.kind} mid-near term needs mid-near indices in the batch")
     cols = coords.T.copy()  # one contiguous array per coordinate

@@ -10,20 +10,21 @@ from __future__ import annotations
 import math
 import struct
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, Embedding
 from .errors import CneError, ConfigError, DivergenceError, LossNumericsError
-from .losses import MIDNEAR_KINDS, LossSpec, evaluate
+from .losses import LossSpec, evaluate
 from .neighbor_graph import NeighborGraph
-from .sampling import DEFAULT_BATCH_SIZE, Sampler
+from .sampling import DEFAULT_BATCH_SIZE, DEFAULT_N_MID, Sampler
 
 PCA_INIT_SCALE = 1e-2
 HIDDEN_SIZES = (64, 64)
 ENCODER_MAGIC = b"CNEENC01"
 MODES = ("nonparametric", "parametric")
+MAX_BATCH_BYTES = 64 << 20  # a step peaks near 30x its index bytes: 2 GB here, 2 MB by default
 
 
 @dataclass
@@ -59,9 +60,6 @@ class OptimConfig:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def pca_init(points, d: int, scale: float = PCA_INIT_SCALE):
     """Project onto the top-d principal directions and rescale each output
@@ -94,6 +92,14 @@ def check_labels(data: Dataset, spec: LossSpec) -> None:
             raise ConfigError(f"loss {spec.kind!r} requires at least two classes")
 
 
+def check_batch_shape(spec: LossSpec, cfg: OptimConfig) -> None:
+    """Raise ConfigError when one batch's sample indices exceed MAX_BATCH_BYTES."""
+    need = cfg.batch_size * (spec.m + 2 + DEFAULT_N_MID) * 8  # edge, negatives, mid-nears
+    if need > MAX_BATCH_BYTES:
+        raise ConfigError(f"batch_size {cfg.batch_size} with m {spec.m} needs {need} bytes "
+                          f"of batch indices, over the {MAX_BATCH_BYTES} allowed")
+
+
 def _sgd(data, graph, spec, cfg, params, what, forward):
     """The training loop of both modes: SGD with momentum on the arrays
     `params`, updated in place. Returns the training log.
@@ -104,16 +110,16 @@ def _sgd(data, graph, spec, cfg, params, what, forward):
     `params`.
     """
     check_labels(data, spec)
+    check_batch_shape(spec, cfg)
     sampler = Sampler(graph=graph, data=data, batch_size=cfg.batch_size, m=spec.m,
-                      seed=cfg.seed, need_midnears=spec.kind in MIDNEAR_KINDS,
-                      need_labels=spec.supervised)
+                      seed=cfg.seed, need_labels=spec.supervised)
     velocity = [np.zeros_like(p) for p in params]
     steps = max(1, -(-graph.n_edges // cfg.batch_size))
     log = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         epoch_loss = 0.0
-        w_u = spec.schedule.w_u(epoch, cfg.epochs)
+        w_u = spec.w_u(epoch, cfg.epochs)
         for step in range(steps):
             # Mid-nears are drawn only in the epochs whose loss reads them.
             batch, coords, backward = forward(sampler.next_batch(midnears=w_u != 0))

@@ -1,5 +1,5 @@
 """Minibatch construction: positive edges, uniform negatives, mid-near and
-label-positive sets, plus the annealed mid-near weight schedule.
+label-positive sets.
 
 Negatives are drawn uniformly from all non-anchor samples and deliberately
 NOT filtered against the positive set; a sampled negative may coincide with
@@ -8,7 +8,6 @@ a true neighbor (collision probability O(k/N)).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -16,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, SamplingError
+from .errors import SamplingError
 from .neighbor_graph import NeighborGraph
 
 DEFAULT_M = 5
@@ -24,34 +23,6 @@ DEFAULT_BATCH_SIZE = 1024
 DEFAULT_MIDNEAR_POOL = 6
 DEFAULT_N_MID = 2
 DEFAULT_MAX_LABEL_POSITIVES = 16
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """Positive weight and the piecewise-linear mid-near weight over epochs.
-
-    w_u(t) interpolates w_u_init -> w_u_final over the first
-    anneal_fraction of the epochs and stays at w_u_final afterward.
-    """
-
-    w_p: float = 1.0
-    w_u_init: float = 1.0
-    w_u_final: float = 0.0
-    anneal_fraction: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.w_p < math.inf:
-            raise ConfigError("w_p must be positive and finite")
-        if not (0 <= self.w_u_init < math.inf and 0 <= self.w_u_final < math.inf):
-            raise ConfigError("mid-near weights must be non-negative and finite")
-        if not 0.0 <= self.anneal_fraction <= 1.0:
-            raise ConfigError("anneal_fraction must lie in [0, 1]")
-
-    def w_u(self, epoch: int, n_epochs: int) -> float:
-        t_anneal = self.anneal_fraction * n_epochs
-        if t_anneal <= 0 or epoch >= t_anneal:
-            return self.w_u_final
-        return self.w_u_init + (self.w_u_final - self.w_u_init) * (epoch / t_anneal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,26 +218,24 @@ class Sampler:
     batch_size: int = DEFAULT_BATCH_SIZE
     m: int = DEFAULT_M
     seed: int = 0
-    need_midnears: bool = False
     need_labels: bool = False
     max_label_positives: int | None = DEFAULT_MAX_LABEL_POSITIVES
     rng: np.random.Generator = field(init=False)
 
     def __post_init__(self):
-        if self.need_midnears and self.data is None:
-            raise SamplingError("mid-near sampling requires the dataset")
         if self.need_labels and (self.data is None or self.data.labels is None):
             raise SamplingError("label positives require a labeled dataset")
         if self.max_label_positives is not None and self.max_label_positives < 1:
             raise SamplingError("max_label_positives must be >= 1 (or None for no cap)")
         self.rng = np.random.default_rng(self.seed)
 
-    def next_batch(self, midnears: bool = True) -> PairBatch:
-        """The next batch. With midnears=False it has no mid-nears even when
-        need_midnears is set, and draws none from the generator: for steps
-        whose loss does not read them."""
+    def next_batch(self, midnears: bool = False) -> PairBatch:
+        """The next batch, with mid-nears only when `midnears` is set: without
+        them the generator draws none, for steps whose loss does not read them."""
+        if midnears and self.data is None:
+            raise SamplingError("mid-near sampling requires the dataset")
         batch = sample_edge_batch(self.graph, self.batch_size, self.m, self.rng)
-        if self.need_midnears and midnears:
+        if midnears:
             batch.midnears = sample_midnears(self.data, batch.anchors, self.rng)
         if self.need_labels:
             attach_label_positives(batch, self.data.labels,

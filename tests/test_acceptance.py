@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cne import (
-    Dataset, Embedding, LossSpec, OptimConfig, ScheduleSpec, cauchy,
+    Dataset, Embedding, LossSpec, OptimConfig, cauchy,
     cauchy_unnormalized, default_spec, evaluate, fit_nonparametric, grad_check,
     knn_accuracy, knn_graph, knn_recall, make_blobs, random_batch, silhouette,
 )
@@ -40,14 +40,14 @@ def verdict(capfd):
 
 def checked_specs():
     """Every loss kind plus each variant flag that changes the computation."""
-    sched = ScheduleSpec(w_u_init=0.5, w_u_final=0.5)
-    specs = [LossSpec(kind=k, m=5, schedule=sched) for k in (
+    sched = {"w_u_init": 0.5, "w_u_final": 0.5}
+    specs = [LossSpec(kind=k, m=5, **sched) for k in (
         "tsne", "umap", "nce", "trimap", "pacmap", "infonce",
         "sscl", "snn", "supcon", "sup_snn", "tscne")]
     specs += [
-        LossSpec(kind="trimap", m=5, schedule=sched, log_ratio=True),
-        LossSpec(kind="tscne", m=5, schedule=sched, log_ratio=True),
-        LossSpec(kind="pacmap", m=5, schedule=sched, paper_as_written=True),
+        LossSpec(kind="trimap", m=5, **sched, log_ratio=True),
+        LossSpec(kind="tscne", m=5, **sched, log_ratio=True),
+        LossSpec(kind="pacmap", m=5, **sched, paper_as_written=True),
         LossSpec(kind="sscl", m=5, denominator_includes_positive=True),
         LossSpec(kind="supcon", m=5, denominator_includes_positive=True),
     ]
@@ -246,7 +246,7 @@ def test_criterion_8_sampler_statistics(verdict):
     uniform_ok = bool(np.all(np.abs(freq - p) <= 3.0 * sigma))
 
     # annealed weight matches its piecewise-linear closed form exactly
-    sched = ScheduleSpec(w_p=1.0, w_u_init=7.0, w_u_final=2.0, anneal_fraction=0.4)
+    sched = LossSpec(kind="trimap", w_p=1.0, w_u_init=7.0, w_u_final=2.0, anneal_fraction=0.4)
     epochs = 250
     t_anneal = 0.4 * epochs
     schedule_ok = True

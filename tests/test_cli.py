@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config resolution, outputs, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -394,6 +395,8 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
     (["embed", "--data", "blobs:n_per_clas=5"], None),
     (["embed", "--data", BLOBS, "--seed", "-1"], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--seeds", "0,-1"], None),
+    (["embed", "--data", BLOBS], "k = 3\n"),
+    (["embed", "--data", BLOBS], "[run]\nk = 3\nk = 4\n"),
     *[(["embed", "--data", BLOBS, "--" + flag, value], None) for flag, value in BAD_SETTINGS[2:]],
     *[(["embed", "--data", BLOBS], f"[run]\n{flag.replace('-', '_')} = {value}\n")
       for flag, value in BAD_SETTINGS],
@@ -401,6 +404,7 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
       for flag, value in BAD_SETTINGS],
 ], ids=["m0", "tau0", "batch0", "dim0", "ini-k", "ini-mode", "seeds", "gradcheck-m0",
         "trials0", "trials-3", "bench-m0", "jobs0", "jobs-1", "gen-key", "seed-1", "bench-seeds-1",
+        "ini-no-section", "ini-duplicate-key",
         *[f"{flag}{value}" for flag, value in BAD_SETTINGS[2:]],
         *[f"ini-{flag}{value}" for flag, value in BAD_SETTINGS],
         *[f"bench-{flag}{value}" for flag, value in BAD_SETTINGS]])
@@ -413,6 +417,42 @@ def test_degenerate_settings_exit_with_a_message(tmp_path, capsys, argv, ini):
         argv = [*argv, "--out", str(tmp_path / "out")]
     assert run(argv) == 2
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+@pytest.mark.parametrize("flag, value", [("batch-size", "100000000"), ("m", "1000000")])
+@pytest.mark.parametrize("command", ["embed", "bench"])
+def test_a_batch_too_large_for_memory_exits_2_at_once(tmp_path, capsys, command, flag, value):
+    # Rejected before the data is read: a batch this size would exhaust memory.
+    argv = [command, "--data", "blobs:n_per_class=20", "--" + flag, value, "--epochs", "1",
+            "--out", str(tmp_path / "out"), *(["--losses", "umap"] if command == "bench" else [])]
+    t0 = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: batch_size ") and " m " in line and "bytes" in line
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_output_path_that_cannot_be_written_exits_3(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for argv in (["gen", "blobs:n_per_class=5", "--out", str(afile / "x.csv")],
+                 ["embed", "--data", BLOBS, *FAST, "--out", str(afile)],
+                 ["bench", "--data", BLOBS, "--losses", "umap", *FAST, "--out", str(afile)]):
+        assert run(argv) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and str(afile) in line
+
+
+def test_train_log_w_u_is_zero_without_a_midnear_term(tmp_path, capsys):
+    for kind in ("umap", "trimap"):
+        assert run(["embed", "--data", BLOBS, "--loss", kind, *FAST,
+                    "--out", str(tmp_path / kind)]) == 0
+    rows = {kind: [json.loads(line)["w_u"] for line in
+                   (tmp_path / kind / "train_log.jsonl").read_text().splitlines()]
+            for kind in ("umap", "trimap")}
+    assert rows["umap"] == [0.0] * 5
+    assert rows["trimap"][0] == 1.0
 
 
 def test_data_and_graph_errors_exit_3(tmp_path, capsys):

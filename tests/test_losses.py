@@ -8,12 +8,12 @@ import pytest
 
 from cne import (
     LOSS_KINDS, LossGrad, LossNumericsError, LossSpec, PairBatch, SamplingError,
-    ScheduleSpec, evaluate, grad_check, random_batch,
+    evaluate, grad_check, random_batch,
 )
-from cne.losses import SUPERVISED_KINDS
+from cne.losses import MIDNEAR_KINDS, SUPERVISED_KINDS
 from cne.sampling import LabelPositives
 
-ZERO_SCHEDULE = ScheduleSpec(w_u_init=0.0, w_u_final=0.0)
+ZERO_W_U = {"w_u_init": 0.0, "w_u_final": 0.0}
 
 
 def csr(sets):
@@ -250,7 +250,7 @@ def test_trimap_symmetric_triplet():
     # equal positive and negative similarities: ratio 0.5 regardless of scale
     coords = line_coords(0, 1, -1)
     batch = pair_batch([0], [1], [[2]])
-    spec = LossSpec(kind="trimap", schedule=ZERO_SCHEDULE)
+    spec = LossSpec(kind="trimap", **ZERO_W_U)
     assert evaluate(spec, batch, coords).value == pytest.approx(-0.5, rel=1e-12)
 
 
@@ -258,7 +258,7 @@ def test_trimap_scalar():
     # phi_ij=0.5, phi_ik=0.2 -> -0.5/0.7
     coords = line_coords(0, 1, 2)
     batch = pair_batch([0], [1], [[2]])
-    spec = LossSpec(kind="trimap", schedule=ZERO_SCHEDULE)
+    spec = LossSpec(kind="trimap", **ZERO_W_U)
     lg = evaluate(spec, batch, coords)
     assert lg.value == pytest.approx(-5.0 / 7.0, rel=1e-12)
     assert lg.value == pytest.approx(-0.714286, abs=5e-7)
@@ -271,7 +271,7 @@ def test_trimap_bounded():
     for _ in range(20):
         batch = random_batch(40, 8, 3, rng)
         value = evaluate(spec, batch, coords, epoch=0, n_epochs=10).value
-        w_u = spec.schedule.w_u(0, 10)
+        w_u = spec.w_u(0, 10)
         assert -(spec.m + w_u) < value < 0.0
 
 
@@ -280,7 +280,7 @@ def test_pacmap_scalar():
     # its attraction/repulsion term is negligible
     coords = line_coords(0, 2, 1e8)
     batch = pair_batch([0], [1], [[2]])
-    spec = LossSpec(kind="pacmap", schedule=ZERO_SCHEDULE)
+    spec = LossSpec(kind="pacmap", **ZERO_W_U)
     assert evaluate(spec, batch, coords).value == pytest.approx(-1.0 / 6.0, abs=1e-9)
 
 
@@ -301,7 +301,7 @@ def test_pacmap_sign_variants_differ_by_constant():
 def test_pacmap_corrected_sign_repels_negative():
     coords = line_coords(0, 1, 0.5)
     batch = pair_batch([0], [1], [[2]])
-    spec = LossSpec(kind="pacmap", schedule=ZERO_SCHEDULE)
+    spec = LossSpec(kind="pacmap", **ZERO_W_U)
     lg = evaluate(spec, batch, coords)
     # negative sits to the right of the anchor; repulsion pushes the anchor left
     eps = 1e-6
@@ -426,7 +426,7 @@ def test_supervised_losses_are_their_self_supervised_twins():
         sup, twin = both(LossSpec(kind="supcon", denominator_includes_positive=incl),
                          LossSpec(kind="sscl", denominator_includes_positive=incl))
         assert np.array_equal(sup.grad, twin.grad) and sup.value == twin.value
-    sup, twin = both(LossSpec(kind="tscne", log_ratio=True, schedule=ZERO_SCHEDULE),
+    sup, twin = both(LossSpec(kind="tscne", log_ratio=True, **ZERO_W_U),
                      LossSpec(kind="infonce"))
     assert np.array_equal(sup.grad, twin.grad) and sup.value == twin.value
     # snn pools its negatives per anchor group, sup_snn reduces them row by row.
@@ -468,9 +468,9 @@ def test_jensen_sup_snn_below_supcon():
 def test_tscne_equal_similarities():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     batch = pair_batch([0, 1], [1, 0], [[2], [3]], label_positives=[[1], [0]])
-    spec = LossSpec(kind="tscne", schedule=ZERO_SCHEDULE)
+    spec = LossSpec(kind="tscne", **ZERO_W_U)
     assert evaluate(spec, batch, coords).value == pytest.approx(-1.0, rel=1e-12)
-    spec_log = LossSpec(kind="tscne", schedule=ZERO_SCHEDULE, log_ratio=True)
+    spec_log = LossSpec(kind="tscne", **ZERO_W_U, log_ratio=True)
     assert evaluate(spec_log, batch, coords).value == pytest.approx(
         math.log(2.0), rel=1e-12)
 
@@ -480,7 +480,7 @@ def test_tscne_pulls_label_positives_together():
     coords = rng.normal(size=(10, 2))
     batch = pair_batch([0, 1], [1, 0], [[2], [3]], label_positives=[[1], [0]])
     for log_ratio in (False, True):
-        spec = LossSpec(kind="tscne", schedule=ZERO_SCHEDULE, log_ratio=log_ratio)
+        spec = LossSpec(kind="tscne", **ZERO_W_U, log_ratio=log_ratio)
         lg = evaluate(spec, batch, coords)
         # gradient on the anchor points toward its label positive
         to_positive = coords[1] - coords[0]
@@ -497,17 +497,17 @@ def test_losses_match_loop_references():
     for trial in range(10):
         batch = random_batch(n, 12, 4, rng, labels=labels)
         w_u = 0.7
-        sched = ScheduleSpec(w_u_init=w_u, w_u_final=w_u)
+        sched = {"w_u_init": w_u, "w_u_final": w_u}
         cases = [
             (LossSpec(kind="tsne", m=4), ref_tsne(batch, coords)),
             (LossSpec(kind="umap", m=4), ref_umap(batch, coords)),
-            (LossSpec(kind="trimap", m=4, schedule=sched),
+            (LossSpec(kind="trimap", m=4, **sched),
              ref_trimap(batch, coords, w_u, False)),
-            (LossSpec(kind="trimap", m=4, schedule=sched, log_ratio=True),
+            (LossSpec(kind="trimap", m=4, **sched, log_ratio=True),
              ref_trimap(batch, coords, w_u, True)),
-            (LossSpec(kind="pacmap", m=4, schedule=sched),
+            (LossSpec(kind="pacmap", m=4, **sched),
              ref_pacmap(batch, coords, w_u, 1.0, True)),
-            (LossSpec(kind="pacmap", m=4, schedule=sched, paper_as_written=True),
+            (LossSpec(kind="pacmap", m=4, **sched, paper_as_written=True),
              ref_pacmap(batch, coords, w_u, 1.0, False)),
             (LossSpec(kind="infonce", m=4), ref_infonce(batch, coords)),
             (LossSpec(kind="sscl", m=4), ref_sscl(batch, coords, 0.5)),
@@ -518,9 +518,9 @@ def test_losses_match_loop_references():
             (LossSpec(kind="supcon", m=4, denominator_includes_positive=True),
              ref_supcon(batch, coords, 0.5, incl_positive=True)),
             (LossSpec(kind="sup_snn", m=4), ref_sup_snn(batch, coords, 0.5)),
-            (LossSpec(kind="tscne", m=4, schedule=sched),
+            (LossSpec(kind="tscne", m=4, **sched),
              ref_tscne(batch, coords, w_u, False)),
-            (LossSpec(kind="tscne", m=4, schedule=sched, log_ratio=True),
+            (LossSpec(kind="tscne", m=4, **sched, log_ratio=True),
              ref_tscne(batch, coords, w_u, True)),
         ]
         for spec, expect in cases:
@@ -539,13 +539,13 @@ def random_rigid_motion(rng, d=2):
 
 
 def all_specs():
-    sched = ScheduleSpec(w_u_init=0.5, w_u_final=0.5)
+    sched = {"w_u_init": 0.5, "w_u_final": 0.5}
     out = []
     for kind in LOSS_KINDS:
-        out.append(LossSpec(kind=kind, m=4, schedule=sched))
-    out.append(LossSpec(kind="trimap", m=4, schedule=sched, log_ratio=True))
-    out.append(LossSpec(kind="tscne", m=4, schedule=sched, log_ratio=True))
-    out.append(LossSpec(kind="pacmap", m=4, schedule=sched, paper_as_written=True))
+        out.append(LossSpec(kind=kind, m=4, **sched))
+    out.append(LossSpec(kind="trimap", m=4, **sched, log_ratio=True))
+    out.append(LossSpec(kind="tscne", m=4, **sched, log_ratio=True))
+    out.append(LossSpec(kind="pacmap", m=4, **sched, paper_as_written=True))
     out.append(LossSpec(kind="sscl", m=4, denominator_includes_positive=True))
     out.append(LossSpec(kind="supcon", m=4, denominator_includes_positive=True))
     return out
@@ -620,7 +620,7 @@ def test_evaluate_rejects_out_of_range_batch():
     # mid-nears too.
     coords = np.random.default_rng(15).normal(size=(3, 2))
     spec = LossSpec(kind="trimap", m=1)
-    assert spec.schedule.w_u(0, 1) > 0
+    assert spec.w_u(0, 1) > 0
     fields = {"anchors": [0], "positives": [1], "negatives": [[2]], "midnears": [[1, 2]]}
     evaluate(spec, pair_batch(**fields), coords)
     for name in fields:
@@ -764,6 +764,12 @@ def test_supervised_batch_with_no_kept_anchor_is_skipped(kind):
         evaluate(spec, batch, coords)
 
 
+@pytest.mark.parametrize("kind", [k for k in LOSS_KINDS if k not in MIDNEAR_KINDS])
+def test_w_u_is_zero_for_a_loss_without_a_midnear_term(kind):
+    for spec in (LossSpec(kind=kind), LossSpec(kind=kind, w_u_init=3.0, w_u_final=2.0)):
+        assert [spec.w_u(t, 10) for t in range(12)] == [0.0] * 12
+
+
 @pytest.mark.parametrize("kind", ["trimap", "pacmap", "tscne"])
 def test_evaluate_needs_midnears_while_w_u_is_nonzero(kind):
     rng = np.random.default_rng(3)
@@ -773,7 +779,7 @@ def test_evaluate_needs_midnears_while_w_u_is_nonzero(kind):
     spec = LossSpec(kind=kind, m=4)
     with pytest.raises(SamplingError, match=f"^{kind} mid-near term needs mid-near"):
         evaluate(spec, batch, coords, epoch=0, n_epochs=10)
-    assert spec.schedule.w_u(5, 10) == 0.0  # annealed: the term is not read
+    assert spec.w_u(5, 10) == 0.0  # annealed: the term is not read
     assert np.isfinite(evaluate(spec, batch, coords, epoch=5, n_epochs=10).value)
 
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from cne import (
-    CneError, Dataset, DivergenceError, Encoder, LossNumericsError, LossSpec, OptimConfig,
-    default_spec, fit_nonparametric, fit_parametric, knn_accuracy, knn_graph, make_blobs,
-    transform,
+    CneError, ConfigError, Dataset, DivergenceError, Encoder, LossNumericsError, LossSpec,
+    OptimConfig, default_spec, fit_nonparametric, fit_parametric, knn_accuracy, knn_graph,
+    make_blobs, transform,
 )
 from cne.losses import SUPERVISED_KINDS, evaluate
-from cne.optimize import ENCODER_MAGIC, pca_init
+from cne.optimize import ENCODER_MAGIC, MAX_BATCH_BYTES, check_batch_shape, pca_init
 
 
 def small_blobs(seed=0):
@@ -154,6 +154,19 @@ def test_supervised_loss_on_one_class_raises(kind):
     g = knn_graph(ds, k=5)
     with pytest.raises(CneError, match="two classes"):
         fit_nonparametric(ds, g, LossSpec(kind=kind), OptimConfig(epochs=1))
+
+
+@pytest.mark.parametrize("fit", [fit_nonparametric, fit_parametric])
+def test_a_batch_too_large_for_memory_is_rejected(fit):
+    # 100 x 1e6 negatives would take 800 MB of indices alone; the bound is
+    # checked before the sampler draws anything.
+    ds = small_blobs()
+    g = knn_graph(ds, k=5)
+    with pytest.raises(ConfigError, match="^batch_size 100 with m 1000000 needs 800003200 bytes"):
+        fit(ds, g, LossSpec(m=10**6), OptimConfig(epochs=1, batch_size=100))
+    check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=MAX_BATCH_BYTES // 40))
+    with pytest.raises(ConfigError):
+        check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=MAX_BATCH_BYTES // 40 + 1))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -342,7 +355,7 @@ def test_midnears_drawn_only_in_epochs_that_read_them(monkeypatch, kind):
     spec, cfg = default_spec(kind), OptimConfig(epochs=6, batch_size=64)
     fit_nonparametric(ds, g, spec, cfg)
     steps = -(-g.n_edges // cfg.batch_size)
-    reading = sum(spec.schedule.w_u(e, cfg.epochs) != 0 for e in range(cfg.epochs))
+    reading = sum(spec.w_u(e, cfg.epochs) != 0 for e in range(cfg.epochs))
     want = {"trimap": steps * reading, "tscne": steps * cfg.epochs, "umap": 0}[kind]
     assert len(calls) == want
     if kind == "trimap":

@@ -1,16 +1,19 @@
 """Minibatch construction: edge sampling, negatives, mid-near pairs,
-label-positive sets, and the annealed mid-near weight schedule."""
+label-positive sets, and the annealed mid-near weight that decides when
+mid-nears are drawn."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cne import (
-    ConfigError, Dataset, PairBatch, Sampler, SamplingError, ScheduleSpec, knn_graph,
+    ConfigError, Dataset, LossSpec, PairBatch, Sampler, SamplingError, knn_graph,
     random_batch, sample_edge_batch, sample_midnears,
 )
 from cne.neighbor_graph import NeighborGraph
-from cne.sampling import DEFAULT_N_MID, LabelPositives, attach_label_positives
+from cne.sampling import (
+    DEFAULT_MAX_LABEL_POSITIVES, DEFAULT_N_MID, LabelPositives, attach_label_positives,
+)
 
 
 def sample_midnear(data, anchor, rng, pool=6):
@@ -383,30 +386,30 @@ def test_label_positive_sets_properties(problem, seed):
 
 
 def test_schedule_closed_form():
-    s = ScheduleSpec(w_p=1.0, w_u_init=1.0, w_u_final=0.0, anneal_fraction=0.5)
+    s = LossSpec(kind="trimap", w_p=1.0, w_u_init=1.0, w_u_final=0.0, anneal_fraction=0.5)
     total = 100
     for t in range(total):
         t_anneal = 0.5 * total
         expect = 1.0 - t / t_anneal if t < t_anneal else 0.0
         assert s.w_u(t, total) == expect
-    s2 = ScheduleSpec(w_u_init=8.0, w_u_final=2.0, anneal_fraction=1.0)
+    s2 = LossSpec(kind="pacmap", w_u_init=8.0, w_u_final=2.0, anneal_fraction=1.0)
     assert s2.w_u(0, 10) == 8.0
     assert s2.w_u(5, 10) == 5.0
 
 
 def test_schedule_constant_after_anneal():
-    s = ScheduleSpec(w_u_init=3.0, w_u_final=0.5, anneal_fraction=0.25)
+    s = LossSpec(kind="tscne", w_u_init=3.0, w_u_final=0.5, anneal_fraction=0.25)
     for t in range(25, 100):
         assert s.w_u(t, 100) == 0.5
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        ScheduleSpec(w_p=0.0)
-    with pytest.raises(ConfigError):
-        ScheduleSpec(w_u_init=-1.0)
-    with pytest.raises(ConfigError):
-        ScheduleSpec(anneal_fraction=1.5)
+    with pytest.raises(ConfigError, match="^w_p must be positive and finite$"):
+        LossSpec(w_p=0.0)
+    with pytest.raises(ConfigError, match="^mid-near weights must be non-negative and finite$"):
+        LossSpec(w_u_init=-1.0)
+    with pytest.raises(ConfigError, match=r"^anneal_fraction must lie in \[0, 1\]$"):
+        LossSpec(anneal_fraction=1.5)
 
 
 def test_sampler_reproducible():
@@ -414,9 +417,8 @@ def test_sampler_reproducible():
     ds = Dataset(points=rng.normal(size=(60, 4)), labels=rng.integers(0, 3, size=60))
     g = knn_graph(ds, k=5)
     def stream():
-        s = Sampler(graph=g, data=ds, batch_size=32, m=3, seed=11,
-                    need_midnears=True, need_labels=True)
-        return [s.next_batch() for _ in range(5)]
+        s = Sampler(graph=g, data=ds, batch_size=32, m=3, seed=11, need_labels=True)
+        return [s.next_batch(midnears=True) for _ in range(5)]
     a, b = stream(), stream()
     for ba, bb in zip(a, b):
         assert np.array_equal(ba.anchors, bb.anchors)
@@ -428,18 +430,28 @@ def test_sampler_reproducible():
 
 
 def test_next_batch_without_midnears_draws_none():
-    # midnears=False leaves the mid-nears out, and draws none from the
-    # generator: the rest of the batch is what a sampler without them draws.
+    # By default, as with midnears=False, a batch has no mid-nears and draws
+    # none from the generator: the stream is edges, negatives and label
+    # positives alone, in step with drawing those directly.
     rng = np.random.default_rng(7)
     ds = Dataset(points=rng.normal(size=(60, 4)), labels=rng.integers(0, 3, size=60))
     g = knn_graph(ds, k=5)
-    kw = dict(graph=g, data=ds, batch_size=32, m=3, seed=11, need_labels=True)
-    with_mid = Sampler(need_midnears=True, **kw)
-    plain = Sampler(**kw)
-    for _ in range(3):
-        got, want = with_mid.next_batch(midnears=False), plain.next_batch()
+    s = Sampler(graph=g, data=ds, batch_size=32, m=3, seed=11, need_labels=True)
+    direct = np.random.default_rng(11)
+    for got in (s.next_batch(), s.next_batch(midnears=False), s.next_batch()):
+        want = attach_label_positives(sample_edge_batch(g, 32, 3, direct), ds.labels,
+                                      DEFAULT_MAX_LABEL_POSITIVES, direct)
         assert got.midnears is None
         assert np.array_equal(got.anchors, want.anchors)
         assert np.array_equal(got.negatives, want.negatives)
         assert np.array_equal(got.label_positives.positions, want.label_positives.positions)
-    assert with_mid.next_batch().midnears.shape == (32, DEFAULT_N_MID)
+    assert s.rng.bit_generator.state == direct.bit_generator.state
+    assert s.next_batch(midnears=True).midnears.shape == (32, DEFAULT_N_MID)
+
+
+def test_midnears_need_the_dataset():
+    g = knn_graph(Dataset(points=np.random.default_rng(1).normal(size=(20, 3))), k=3)
+    s = Sampler(graph=g, batch_size=8, m=2)
+    assert s.next_batch().midnears is None
+    with pytest.raises(SamplingError, match="mid-near sampling requires the dataset"):
+        s.next_batch(midnears=True)
