@@ -44,7 +44,7 @@ def _load_config_file(path) -> dict:
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {str(exc).splitlines()[0]}") from None
     if not read:
         raise ConfigError(f"config file {path} not found")
@@ -176,10 +176,11 @@ def _kwargs(cls, cfg: dict) -> dict:
             for f in fields(cls) if f.default is not MISSING}
 
 
-def _specs(cfg: dict) -> tuple[LossSpec, OptimConfig]:
-    """The run's LossSpec and OptimConfig; an invalid setting raises."""
+def _specs(cfg: dict, cells: int = 1) -> tuple[LossSpec, OptimConfig]:
+    """The run's LossSpec and OptimConfig; an invalid setting, or a batch
+    too large for `cells` such runs at once, raises."""
     spec, optim = LossSpec(**_kwargs(LossSpec, cfg)), OptimConfig(**_kwargs(OptimConfig, cfg))
-    check_batch_shape(spec, optim)
+    check_batch_shape(spec, optim, cells)
     return spec, optim
 
 
@@ -272,11 +273,12 @@ def cmd_bench(args) -> int:
     base = _resolve(args, config)
     out = Path(base["out"] or "bench_out")
     grid, specs = [], {}
+    jobs = min(args.jobs, len(loss_list) * len(seed_list))  # the cells run at once
     for loss in loss_list:
         resolved = _resolve(args, config, loss=loss)
         for seed in seed_list:
             cfg = dict(resolved, seed=seed, out=str(out / f"{loss}_seed{seed}"))
-            specs[loss], _ = _specs(cfg)  # a setting a cell would reject fails before the grid
+            specs[loss], _ = _specs(cfg, jobs)  # a cell's rejected setting fails before the grid
             grid.append(cfg)
     # No per-loss setting changes the data or the graph.
     ds = _load_dataset(base)
@@ -287,7 +289,7 @@ def cmd_bench(args) -> int:
         raise errors[0]
     graph = knn_graph(ds, k=base["k"])
     out.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         rows = list(pool.map(lambda cfg: _bench_one(cfg, ds, graph), grid))
 
     metric_keys = ("knn_recall", "knn_accuracy", "silhouette")

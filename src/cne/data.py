@@ -172,7 +172,7 @@ def load_csv(path, label_column=None) -> Dataset:
                                    converters=converters, ndmin=2)
             except ValueError:
                 table = None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if table is None or not np.isfinite(table).all():
         return _load_rows(path, label_column)
@@ -187,7 +187,7 @@ def _load_rows(path, label_column=None) -> Dataset:
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     header, label_idx, width = _layout(path, rows[:2], label_column)
     rows = rows[header is not None:]

@@ -126,7 +126,7 @@ def silhouette(labels, emb: Embedding) -> float:
         denom = np.maximum(a, b)
         terms[block] = np.divide(b - a, denom, out=np.zeros_like(a), where=denom > 0.0)
 
-    map_row_blocks(block_terms, n, 16 * n, (np.float64, np.float64))
+    map_row_blocks(block_terms, n, ((n, np.float64), (n, np.float64)))
     total = 0.0
     for term in terms.tolist():  # one by one, in index order
         total += term

@@ -21,10 +21,9 @@ from .errors import GraphError
 
 DEFAULT_K = 15
 
-# Size of the largest float64 temporaries of the blocks of rows in flight,
-# all workers together (an N-wide distance row, or a D-wide difference row
-# per candidate). Fixes the number of rows per block, so working memory is
-# O(BLOCK_BYTES), not O(N^2).
+# Size of all buffers of the blocks of rows in flight, all workers together.
+# Fixes the number of rows per block, so working memory is O(BLOCK_BYTES),
+# not O(N^2).
 BLOCK_BYTES = 8 << 20
 # Threads that work on row blocks at once: the cores this process may use.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -65,34 +64,28 @@ class NeighborGraph:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
-def row_blocks(n: int, row_bytes: int):
-    """Consecutive slices covering range(n): one, if all n rows fit in
-    BLOCK_BYTES, else of a WORKERS-th of BLOCK_BYTES (at least one row) each."""
-    step = max(1, n if n * row_bytes <= BLOCK_BYTES else BLOCK_BYTES // (row_bytes * WORKERS))
-    for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
+def map_row_blocks(fn, n: int, shapes) -> None:
+    """Call fn(block, buffers) for consecutive slices covering range(n), on up
+    to WORKERS threads; a single block runs inline, in this thread.
 
-
-def map_row_blocks(fn, n: int, row_bytes: int, dtypes) -> None:
-    """Call fn(block, buffers) for each slice of row_blocks(n, row_bytes), on
-    up to WORKERS threads; a single block runs inline, in this thread.
-
-    `buffers` holds one block-rows x n array per dtype in `dtypes`, cut to the
-    block's rows. Every worker's set is allocated once, here, and handed out
+    `buffers`: a block-rows x width array per (width, dtype) of `shapes`, for
+    n rows if they all fit in BLOCK_BYTES, else for a WORKERS-th of it (at
+    least one row). Each worker's set is allocated once, here, and handed out
     through a queue. `fn` must write only the block's own rows of its outputs,
     so the result does not depend on the worker count.
     """
-    blocks = list(row_blocks(n, row_bytes))
+    row_bytes = sum(width * np.dtype(dtype).itemsize for width, dtype in shapes)
+    rows = max(1, n if n * row_bytes <= BLOCK_BYTES else BLOCK_BYTES // (row_bytes * WORKERS))
+    blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
     workers = min(WORKERS, len(blocks))
     free = queue.SimpleQueue()
-    rows = blocks[0].stop
-    sizes = [rows * n * np.dtype(dtype).itemsize for dtype in dtypes]
+    sizes = [rows * width * np.dtype(dtype).itemsize for width, dtype in shapes]
     for _ in range(workers):
         # One allocation per worker, cut by dtype: glibc gave separate arrays
         # back to the system and faulted them in again on every call, which
         # doubled the time of silhouette at N=600.
         cuts = np.split(np.empty(sum(sizes), np.uint8), np.cumsum(sizes)[:-1])
-        free.put([cut.view(dtype).reshape(rows, n) for cut, dtype in zip(cuts, dtypes)])
+        free.put([cut.view(dt).reshape(rows, width) for cut, (width, dt) in zip(cuts, shapes)])
 
     def run(block):
         buffers = free.get()
@@ -117,9 +110,11 @@ def knn_indices(points, k: int):
     that difference form, with ties toward the smaller index.
 
     Per block of rows, GEMM distances on a mean-centred copy screen the
-    candidates; only those are recomputed exactly and sorted. The blocks run
-    on :func:`map_row_blocks`, whose buffers are allocated once: memory is
-    O(BLOCK_BYTES) beyond the input and output.
+    candidates within a margin of a bound on each row's k-th screened value:
+    its k-th if all N rows are one block (N <= 702), else the k-th smallest
+    of g group minima, column j in group j mod g (up to 8 columns a group).
+    Only those are recomputed exactly and sorted, in row blocks of
+    :func:`map_row_blocks`: memory is O(BLOCK_BYTES) beyond input and output.
     """
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
@@ -131,37 +126,46 @@ def knn_indices(points, k: int):
     # about (d + 8) eps (|c_i|^2 + |c_j|^2), so a screened value is within
     # twice that of the exact one. The k-th screened value and a true
     # neighbour's screened value can err in opposite directions: keep every
-    # column within twice that again. The margin is absolute, not relative
-    # to the k-th value, which is 0 for duplicate points.
+    # column within twice that again of a bound >= the k-th value. The margin
+    # is absolute, not relative to the k-th value, which is 0 for duplicates.
     margin = 4.0 * (d + 8) * np.finfo(np.float64).eps * (sq + sq.max())
     minus_2ct = -2.0 * centred.T
     out = np.empty((n, k), dtype=np.int64)
+    # k distinct columns lie at or below the k-th smallest group minimum, and
+    # g > k groups leave k without the row's own column. s = 1 copies the row.
+    s = 1 if 17 * n * n <= BLOCK_BYTES else max(1, min(8, n // (k + 1)))
+    g = -(-n // s)
 
     def search(block, buffers):
         screen, ranked, keep = buffers
         rows = np.arange(block.start, block.stop)
         local = rows - block.start
         # |c_j|^2 - 2 c_i.c_j: the squared distance less |c_i|^2, which is
-        # constant along a row and so changes no row's order.
-        np.matmul(centred[block], minus_2ct, out=screen)
-        screen += sq
-        screen[local, rows] = np.inf
-        ranked[...] = screen
+        # constant along a row and so changes no row's order. +inf pads g*s.
+        wide = screen[:, :n]
+        np.matmul(centred[block], minus_2ct, out=wide)
+        wide += sq
+        wide[local, rows] = np.inf
+        screen[:, n:] = np.inf
+        np.min(screen.reshape(-1, s, g), axis=1, out=ranked)
         ranked.partition(k - 1, axis=1)
-        kth = ranked[:, k - 1]
-        np.less_equal(screen, (kth + margin[block])[:, None], out=keep)
-        keep[local, rows] = False  # even where overflow made kth infinite
+        np.less_equal(wide, (ranked[:, k - 1] + margin[block])[:, None], out=keep)
+        if s > 1 and 6 * np.count_nonzero(keep) > keep.size:  # 48 B a candidate, <= 8 a column
+            kth = [np.partition(row, k - 1)[k - 1] for row in wide]
+            np.less_equal(wide, (np.array(kth) + margin[block])[:, None], out=keep)
+        keep[local, rows] = False  # even where overflow made the bound infinite
         r, cols = np.divmod(np.flatnonzero(keep), n)
         d2 = np.empty(cols.size)
-        for part in row_blocks(cols.size, 8 * d):
-            diff = points[cols[part]] - points[rows[r[part]]]
-            d2[part] = np.einsum("nd,nd->n", diff, diff)
+        step = max(1, keep.size // (3 * d))  # 24 d B a difference, <= 8 a column
+        for lo in range(0, cols.size, step):
+            diff = points[cols[lo:lo + step]] - points[rows[r[lo:lo + step]]]
+            d2[lo:lo + step] = np.einsum("nd,nd->n", diff, diff)
         cols = cols[np.lexsort((cols, d2, r))]
         counts = np.bincount(r, minlength=rows.size)
         first = np.cumsum(counts) - counts
         out[block] = cols[first[:, None] + np.arange(k)]
 
-    map_row_blocks(search, n, 8 * n, (np.float64, np.float64, bool))
+    map_row_blocks(search, n, ((g * s, np.float64), (g, np.float64), (n, bool)))
     return out
 
 
@@ -171,7 +175,8 @@ def knn_graph(data, k: int = DEFAULT_K) -> NeighborGraph:
     An edge {i,j} exists iff j is among the k nearest neighbors of i or
     vice versa. Distance ties are broken toward the smaller index. The search,
     :func:`knn_indices` (kept as `neighbors`), takes O(N^2 D) time in row
-    blocks, with working memory bounded by BLOCK_BYTES instead of growing as N^2.
+    blocks whose buffers all count toward BLOCK_BYTES; past one block (N > 702)
+    group minima bound each row's k-th value. Memory does not grow as N^2.
     """
     points = data.points if isinstance(data, Dataset) else _raw_points(data)
     n = points.shape[0]

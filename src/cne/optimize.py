@@ -18,7 +18,7 @@ from .data import Dataset, Embedding
 from .errors import CneError, ConfigError, DivergenceError, LossNumericsError
 from .losses import LossSpec, evaluate
 from .neighbor_graph import NeighborGraph
-from .sampling import DEFAULT_BATCH_SIZE, DEFAULT_N_MID, Sampler
+from .sampling import DEFAULT_BATCH_SIZE, DEFAULT_MAX_LABEL_POSITIVES, DEFAULT_N_MID, Sampler
 
 PCA_INIT_SCALE = 1e-2
 HIDDEN_SIZES = (64, 64)
@@ -92,12 +92,16 @@ def check_labels(data: Dataset, spec: LossSpec) -> None:
             raise ConfigError(f"loss {spec.kind!r} requires at least two classes")
 
 
-def check_batch_shape(spec: LossSpec, cfg: OptimConfig) -> None:
-    """Raise ConfigError when one batch's sample indices exceed MAX_BATCH_BYTES."""
-    need = cfg.batch_size * (spec.m + 2 + DEFAULT_N_MID) * 8  # edge, negatives, mid-nears
+def check_batch_shape(spec: LossSpec, cfg: OptimConfig, cells: int = 1) -> None:
+    """Raise ConfigError when the sample indices of `cells` such batches at
+    once exceed MAX_BATCH_BYTES."""
+    # edge, negatives, mid-nears and, for a supervised loss, label positives
+    per_anchor = spec.m + 2 + DEFAULT_N_MID + DEFAULT_MAX_LABEL_POSITIVES * spec.supervised
+    need = cells * cfg.batch_size * per_anchor * 8
     if need > MAX_BATCH_BYTES:
+        at_once = f" in {cells} cells at once" if cells > 1 else ""
         raise ConfigError(f"batch_size {cfg.batch_size} with m {spec.m} needs {need} bytes "
-                          f"of batch indices, over the {MAX_BATCH_BYTES} allowed")
+                          f"of batch indices{at_once}, over the {MAX_BATCH_BYTES} allowed")
 
 
 def _sgd(data, graph, spec, cfg, params, what, forward):

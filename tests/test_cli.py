@@ -6,9 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from cne import Embedding, cli, knn_graph, load_csv, quality_report, standardize, write_csv
+from cne import (CneError, Embedding, cli, knn_graph, load_csv, quality_report, standardize,
+                 write_csv)
 from cne.cli import DEFAULTS, _resolve, build_parser, main
 from cne.losses import SUPERVISED_KINDS
+from cne.optimize import MAX_BATCH_BYTES
 
 BLOBS = "blobs:n_per_class=40,n_classes=3,dim=6,separation=15,seed=0"
 FAST = ["--epochs", "5", "--k", "6", "--batch-size", "256"]
@@ -397,6 +399,7 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
     (["bench", "--data", BLOBS, "--losses", "umap", "--seeds", "0,-1"], None),
     (["embed", "--data", BLOBS], "k = 3\n"),
     (["embed", "--data", BLOBS], "[run]\nk = 3\nk = 4\n"),
+    (["embed", "--data", BLOBS], b"[run]\nk = 3\xff\n"),
     *[(["embed", "--data", BLOBS, "--" + flag, value], None) for flag, value in BAD_SETTINGS[2:]],
     *[(["embed", "--data", BLOBS], f"[run]\n{flag.replace('-', '_')} = {value}\n")
       for flag, value in BAD_SETTINGS],
@@ -404,14 +407,14 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
       for flag, value in BAD_SETTINGS],
 ], ids=["m0", "tau0", "batch0", "dim0", "ini-k", "ini-mode", "seeds", "gradcheck-m0",
         "trials0", "trials-3", "bench-m0", "jobs0", "jobs-1", "gen-key", "seed-1", "bench-seeds-1",
-        "ini-no-section", "ini-duplicate-key",
+        "ini-no-section", "ini-duplicate-key", "ini-not-utf8",
         *[f"{flag}{value}" for flag, value in BAD_SETTINGS[2:]],
         *[f"ini-{flag}{value}" for flag, value in BAD_SETTINGS],
         *[f"bench-{flag}{value}" for flag, value in BAD_SETTINGS]])
 def test_degenerate_settings_exit_with_a_message(tmp_path, capsys, argv, ini):
     if ini is not None:
         cfgfile = tmp_path / "run.ini"
-        cfgfile.write_text(ini)
+        cfgfile.write_bytes(ini if isinstance(ini, bytes) else ini.encode())
         argv = [*argv, "--config", str(cfgfile)]
     if argv[0] != "gradcheck":
         argv = [*argv, "--out", str(tmp_path / "out")]
@@ -431,6 +434,42 @@ def test_a_batch_too_large_for_memory_exits_2_at_once(tmp_path, capsys, command,
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: batch_size ") and " m " in line and "bytes" in line
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [b"f0,lab\xffel\n1,0\n2,1\n", b"f0,label\n1,0\n2,\xff\n"],
+                         ids=["header", "row"])
+@pytest.mark.parametrize("command", ["embed", "plot"])
+def test_a_data_file_that_is_not_utf8_exits_3(tmp_path, capsys, command, text):
+    # A byte that is not UTF-8 in the first rows, or only further on (read
+    # again row by row), is an unreadable file.
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text)
+    out = str(tmp_path / ("out.svg" if command == "plot" else "out"))
+    assert run([command, "--data", str(bad), "--label-column", "label", "--out", out]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot read {bad}:") and "Traceback" not in line
+
+
+def test_a_batch_too_large_for_the_bench_cells_at_once_exits_2(tmp_path, capsys, monkeypatch):
+    # One cell of this shape fits; the two that --jobs 2 runs at once do not,
+    # and are rejected before any thread starts. A --jobs above the cell
+    # count asks for a thread per cell.
+    pools = []
+
+    def no_pool(max_workers):
+        pools.append(max_workers)
+        raise CneError("no pool in this test")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    batch = str(MAX_BATCH_BYTES // ((5 + 4) * 8 * 2) + 1)
+    argv = ["bench", "--data", BLOBS, "--losses", "umap", "--batch-size", batch, "--epochs", "1",
+            "--out", str(tmp_path / "out")]
+    assert run([*argv, "--seeds", "0,1", "--jobs", "2"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: batch_size {batch} with m 5 ") and "in 2 cells at once" in line
+    assert pools == []
+    assert run([*argv, "--seeds", "0", "--jobs", "1000"]) == 3
+    assert pools == [1]
 
 
 def test_an_output_path_that_cannot_be_written_exits_3(tmp_path, capsys):

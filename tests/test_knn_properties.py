@@ -2,7 +2,8 @@
 metrics against the naive per-pair references, on inputs chosen to break a
 screened search: duplicate and near-duplicate points, exact ties on integer
 grids, k = N-1, points far from the origin, blocks smaller than N rows, and
-one to three worker threads."""
+one to three worker threads; and the group-minimum bound of searches of more
+than one block, where the nearest neighbours crowd into one group."""
 
 import tracemalloc
 from unittest import mock
@@ -54,6 +55,35 @@ def problems(draw, min_n=2, max_n=40, dim=None):
 @given(problems(), BLOCK_BYTES)
 def test_knn_indices_match_naive(problem, block_bytes):
     points, k, _ = problem
+    want = [naive_neighbors(points, i, k) for i in range(len(points))]
+    for workers in WORKERS:
+        with mock.patch.multiple(neighbor_graph, BLOCK_BYTES=block_bytes, WORKERS=workers):
+            assert knn_indices(points, k).tolist() == want
+
+
+@st.composite
+def grouped_problems(draw):
+    """(points, k, block_bytes): 100 to 400 points, searched in blocks of a
+    few rows and so bounded by group minima, often with N just above 8 k.
+    "residue" puts the points of one residue class mod g (the group count of
+    the search) near the origin and all others on one point far away."""
+    n = draw(st.integers(100, 400))
+    k = draw(st.one_of(st.integers(1, n - 1), st.integers(max(1, (n - 8) // 8), (n - 1) // 8)))
+    shape = draw(st.sampled_from(["normal", "grid", "duplicates", "near-duplicates", "far",
+                                  "residue"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = make_points(rng, shape, n, draw(st.integers(1, 4)))
+    if shape == "residue":
+        g = -(-n // max(1, min(8, n // (k + 1))))
+        near = np.arange(n) % g == draw(st.integers(0, g - 1))
+        points[~near] = 1e3
+    return points, k, draw(st.sampled_from([1, 17 * n, 170 * n]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grouped_problems())
+def test_group_bound_matches_naive(problem):
+    points, k, block_bytes = problem
     want = [naive_neighbors(points, i, k) for i in range(len(points))]
     for workers in WORKERS:
         with mock.patch.multiple(neighbor_graph, BLOCK_BYTES=block_bytes, WORKERS=workers):
@@ -137,10 +167,9 @@ def test_silhouette_same_bits_on_every_worker_count(problem, block_bytes):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_knn_indices_memory_is_bounded_by_block_bytes(workers):
-    # All workers' blocks together stay within BLOCK_BYTES of N-wide rows:
-    # three such buffers (two float64, one bool) and the candidates' arrays
-    # come to about 2.5 x BLOCK_BYTES here, against 72 MB for one N x N
-    # distance matrix.
+    # All workers' block buffers together stay within BLOCK_BYTES; the
+    # candidates' arrays, the centred copy and its transpose come to about
+    # 0.3 x BLOCK_BYTES more here, against 72 MB for one N x N distance matrix.
     points = np.random.default_rng(0).normal(size=(3000, 20))
     with mock.patch.object(neighbor_graph, "WORKERS", workers):
         tracemalloc.start()
@@ -149,4 +178,4 @@ def test_knn_indices_memory_is_bounded_by_block_bytes(workers):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak - out.nbytes <= 3 * neighbor_graph.BLOCK_BYTES
+    assert peak - out.nbytes <= 1.5 * neighbor_graph.BLOCK_BYTES

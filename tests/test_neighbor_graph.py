@@ -157,7 +157,7 @@ def test_row_blocks_give_each_worker_its_own_buffers():
     sys.setswitchinterval(1e-6)
     try:
         with mock.patch.multiple(neighbor_graph, BLOCK_BYTES=64 * n, WORKERS=8):
-            map_row_blocks(fn, n, 8 * n, (np.int64,))
+            map_row_blocks(fn, n, ((n, np.int64),))
     finally:
         sys.setswitchinterval(interval)
     assert visits.tolist() == [1] * n
@@ -166,5 +166,30 @@ def test_row_blocks_give_each_worker_its_own_buffers():
 def test_one_row_block_runs_inline():
     threads = set()
     with mock.patch.object(neighbor_graph, "WORKERS", 2):
-        map_row_blocks(lambda block, buffers: threads.add(threading.get_ident()), 10, 80, (bool,))
+        map_row_blocks(lambda block, buffers: threads.add(threading.get_ident()), 10,
+                       ((10, np.float64),))
     assert threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_row_blocks_buffers_together_fit_block_bytes(workers):
+    # Mixed widths and dtypes over many blocks: each worker's buffers are one
+    # allocation, and all of them together take at most BLOCK_BYTES.
+    n, shapes = 500, ((37, np.float64), (5, np.int32), (101, bool))
+    row_bytes = 37 * 8 + 5 * 4 + 101
+    allocations, visits = {}, np.zeros(n, dtype=np.int64)
+
+    def fn(block, buffers):
+        assert [(b.shape, b.dtype) for b in buffers] == [
+            ((block.stop - block.start, width), np.dtype(dtype)) for width, dtype in shapes]
+        whole = buffers[0]
+        while whole.base is not None:
+            whole = whole.base
+        allocations[id(whole)] = whole.nbytes
+        visits[block] += 1
+
+    with mock.patch.multiple(neighbor_graph, BLOCK_BYTES=40 * row_bytes, WORKERS=workers):
+        map_row_blocks(fn, n, shapes)
+    assert visits.tolist() == [1] * n
+    assert 1 <= len(allocations) <= workers
+    assert sum(allocations.values()) <= 40 * row_bytes

@@ -167,6 +167,19 @@ def test_a_batch_too_large_for_memory_is_rejected(fit):
     check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=MAX_BATCH_BYTES // 40))
     with pytest.raises(ConfigError):
         check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=MAX_BATCH_BYTES // 40 + 1))
+    # A supervised loss also draws up to DEFAULT_MAX_LABEL_POSITIVES = 16
+    # label positives per anchor.
+    per_anchor = (1 + 4 + 16) * 8
+    check_batch_shape(LossSpec(kind="supcon", m=1),
+                      OptimConfig(batch_size=MAX_BATCH_BYTES // per_anchor))
+    with pytest.raises(ConfigError, match="^batch_size"):
+        check_batch_shape(LossSpec(kind="supcon", m=1),
+                          OptimConfig(batch_size=MAX_BATCH_BYTES // per_anchor + 1))
+    # Cells run at once share the bound.
+    check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=MAX_BATCH_BYTES // 120), cells=3)
+    with pytest.raises(ConfigError, match="bytes of batch indices in 3 cells at once, over"):
+        check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=MAX_BATCH_BYTES // 120 + 1),
+                          cells=3)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
