@@ -72,8 +72,6 @@ def _coerce(key: str, value: str):
         except ValueError:
             raise ConfigError(f"config key {key!r}: cannot parse {value!r} "
                               f"as {type(like).__name__}") from None
-    if key in CHOICES and value not in CHOICES[key]:
-        raise ConfigError(f"config key {key!r}: {value!r} is not one of {CHOICES[key]}")
     return value
 
 
@@ -177,9 +175,11 @@ def _kwargs(cls, cfg: dict) -> dict:
 
 
 def _specs(cfg: dict, cells: int = 1) -> tuple[LossSpec, OptimConfig]:
-    """The run's LossSpec and OptimConfig; an invalid setting, or a batch
-    too large for `cells` such runs at once, raises."""
+    """The run's LossSpec and OptimConfig; an invalid setting, a plot of a
+    1-D embedding, or a batch too large for `cells` such runs at once, raises."""
     spec, optim = LossSpec(**_kwargs(LossSpec, cfg)), OptimConfig(**_kwargs(OptimConfig, cfg))
+    if cfg.get("plot") and optim.embedding_dim < 2:
+        raise ConfigError("--plot needs an embedding of at least 2 dimensions")
     check_batch_shape(spec, optim, cells)
     return spec, optim
 
@@ -209,10 +209,10 @@ def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
         json.dump(resolved, fh, indent=2, sort_keys=True)
     report = quality_report(ds, emb, input_neighbors=graph.neighbors)
     with open(out / "quality.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
     if cfg.get("plot"):
         emit_svg(emb, ds.labels, out / "plot.svg")
-    return report.to_dict()
+    return asdict(report)
 
 
 def cmd_gen(args) -> int:
@@ -247,6 +247,8 @@ def _loss_list(text: str) -> list[str]:
     for name in kinds:
         if name not in LOSS_KINDS:
             raise ConfigError(f"unknown loss {name!r}")
+    if not kinds:
+        raise ConfigError(f"--losses names no loss: {text!r}")
     return kinds
 
 
@@ -268,8 +270,8 @@ def cmd_bench(args) -> int:
         seed_list = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
-    if not loss_list or not seed_list:
-        raise ConfigError("bench needs a non-empty --losses and --seeds grid")
+    if not seed_list:
+        raise ConfigError("bench needs a non-empty --seeds list")
     base = _resolve(args, config)
     out = Path(base["out"] or "bench_out")
     grid, specs = [], {}
@@ -322,22 +324,24 @@ def cmd_bench(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    kinds = _loss_list(args.losses) if args.losses else list(LOSS_KINDS)
-    rng = np.random.default_rng(args.seed)
     n, d, b, m = 64, 2, 8, args.m
+    optim = OptimConfig(batch_size=b, seed=args.seed)  # rejects a negative seed
+    specs = [LossSpec(kind=kind, m=m, log_ratio=args.log_ratio or False)
+             for kind in _loss_list(args.losses)]
+    for spec in specs:  # a batch too large for memory fails before any is drawn
+        check_batch_shape(spec, optim)
+    rng = np.random.default_rng(args.seed)
     labels = rng.integers(0, 3, size=n)
     failed = False
-    for kind in kinds:
-        spec = LossSpec(kind=kind, m=m, log_ratio=args.log_ratio or False)
+    for spec in specs:
         worst = 0.0
         for _ in range(args.trials):
             coords = rng.normal(size=(n, d))
             batch = random_batch(n, b, m, rng, labels=labels)
-            worst = max(worst, grad_check(spec, batch, coords, corrupt=float(args.corrupt)))
+            worst = max(worst, grad_check(spec, batch, coords))
         status = "PASS" if worst < GRADCHECK_TOLERANCE else "FAIL"
-        if status == "FAIL":
-            failed = True
-        print(f"{kind}: max_rel_err={worst:.3e} {status}")
+        failed |= status == "FAIL"
+        print(f"{spec.kind}: max_rel_err={worst:.3e} {status}")
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
@@ -383,13 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_grad = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
-    p_grad.add_argument("--losses", help="comma-separated subset (default: all)")
+    p_grad.add_argument("--losses", default=",".join(LOSS_KINDS),
+                        help="comma-separated subset (default: all)")
     p_grad.add_argument("--trials", type=int, default=20)
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--m", type=int, default=DEFAULT_M)
     p_grad.add_argument("--log-ratio", dest="log_ratio",
                         action=argparse.BooleanOptionalAction, default=None)
-    p_grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_plot = sub.add_parser("plot", help="SVG scatter plot from an embedding CSV")

@@ -1,8 +1,9 @@
 """Dataset loading, validation, and synthetic generators.
 
-A :class:`Dataset` holds N points in R^D plus optional dense integer class
-labels. Generators are pure functions of their arguments (including the
-seed), and loaded data is validated to be finite and rectangular.
+A :class:`Dataset` holds N points in R^D plus optional non-negative integer
+class labels; :func:`load_csv` numbers them densely. Generators are pure
+functions of their arguments (including the seed), and loaded data is
+validated to be finite and rectangular.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ WRITE_ROWS = 4096
 class Dataset:
     """Immutable collection of N points in R^D with optional labels.
 
-    Labels, when present, are dense non-negative integers 0..C-1.
+    Labels, when present, are non-negative integers; `load_csv` numbers them
+    densely, 0..C-1.
     """
 
     def __init__(self, points, labels=None):

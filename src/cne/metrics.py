@@ -5,7 +5,7 @@ prefixes of ones passed in, and silhouette sums one coordinate at a time."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +24,6 @@ class QualityReport:
     silhouette: float | None = None
     k_recall: int | None = None
     k_accuracy: int | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _first_columns(points, k: int, known):

@@ -173,10 +173,6 @@ class Encoder:
             self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
             self.biases.append(rng.uniform(-bound, bound, size=fan_out))
 
-    @property
-    def in_dim(self) -> int:
-        return self.sizes[0]
-
     def forward(self, x):
         return self._layers(x)[-1]
 
@@ -273,8 +269,8 @@ def fit_parametric(data: Dataset, graph: NeighborGraph, spec: LossSpec,
 def transform(encoder: Encoder, points) -> Embedding:
     """Pure forward pass through a trained encoder."""
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != encoder.in_dim:
+    if points.ndim != 2 or points.shape[1] != encoder.sizes[0]:
         raise CneError(
-            f"expected points of dimension {encoder.in_dim}, got shape {points.shape}"
+            f"expected points of dimension {encoder.sizes[0]}, got shape {points.shape}"
         )
     return Embedding(encoder.forward(points))

@@ -157,28 +157,25 @@ def sample_midnears(data: Dataset, anchors, rng, pool: int = DEFAULT_MIDNEAR_POO
     return np.where(d2 == d2.min(axis=0), cand, n).min(axis=0).reshape(b, n_mid)
 
 
-def attach_label_positives(batch: PairBatch, labels, max_per_anchor=None,
-                           rng=None) -> PairBatch:
+def attach_label_positives(batch: PairBatch, labels, rng,
+                           max_per_anchor=DEFAULT_MAX_LABEL_POSITIVES) -> PairBatch:
     """Fill batch.label_positives (CSR, positions into the batch) from the
-    dataset labels: each anchor gets the other anchors sharing its label.
+    dataset labels: each anchor gets up to `max_per_anchor` of the other
+    anchors sharing its label.
 
-    With max_per_anchor set, each label group is put in one uniformly random
-    cyclic order, and an anchor keeps the min(cap, others) members that follow
-    it there: a uniform random subset of its others, in random order, and each
-    member lies in as many sets as it holds. The per-anchor average over the
-    label-positive set is estimated from the subset. Otherwise the set lists
-    the others in batch order. Work and memory are O(B * cap), or O(B *
-    largest set) without a cap; there is no loop over anchors or labels.
+    Each label group is put in one uniformly random cyclic order, and an
+    anchor keeps the min(cap, others) members that follow it there: a uniform
+    random subset of its others, in random order, and each member lies in as
+    many sets as it holds. The per-anchor average over the label-positive set
+    is estimated from the subset. Work and memory are O(B * cap); there is no
+    loop over anchors or labels.
     """
-    if max_per_anchor is not None and max_per_anchor < 1:
+    if max_per_anchor < 1:
         raise SamplingError(f"max_per_anchor must be >= 1, got {max_per_anchor}")
-    if max_per_anchor is not None and rng is None:
-        raise SamplingError("capped label positives need a generator")
     lab = np.asarray(labels)[batch.anchors]
     b = len(lab)
-    # Anchors grouped by label: in batch order within each group, or, with a
-    # cap, in one uniformly random order per group (a sort by label, random key).
-    order = np.arange(b) if max_per_anchor is None else rng.permutation(b)
+    # Anchors grouped by label, in uniformly random order within each group.
+    order = rng.permutation(b)
     order = order[np.argsort(lab[order], kind="stable")]
     srt = lab[order]
     first = np.ones(b, dtype=bool)
@@ -190,14 +187,10 @@ def attach_label_positives(batch: PairBatch, labels, max_per_anchor=None,
     start = starts[group]                  # per anchor: its group's first slot
     rank = slot - start                    # per anchor: its rank within the group
     members = np.diff(np.append(starts, b))[group]  # per anchor: its group's size
-    sizes = members - 1 if max_per_anchor is None else np.minimum(members - 1, max_per_anchor)
-    # Each anchor's picks, as ranks within its group: all others in order
-    # (its own rank skipped), or the ones that follow it cyclically.
+    sizes = np.minimum(members - 1, max_per_anchor)
+    # Each anchor's picks, as ranks within its group: the ones that follow it cyclically.
     t = np.arange(int(sizes.max()) if b else 0)
-    if max_per_anchor is None:
-        pick = t + (t >= rank[:, None])
-    else:
-        pick = (rank[:, None] + 1 + t) % members[:, None]
+    pick = (rank[:, None] + 1 + t) % members[:, None]
     valid = t < sizes[:, None]
     offsets = np.zeros(b + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
@@ -219,14 +212,11 @@ class Sampler:
     m: int = DEFAULT_M
     seed: int = 0
     need_labels: bool = False
-    max_label_positives: int | None = DEFAULT_MAX_LABEL_POSITIVES
     rng: np.random.Generator = field(init=False)
 
     def __post_init__(self):
         if self.need_labels and (self.data is None or self.data.labels is None):
             raise SamplingError("label positives require a labeled dataset")
-        if self.max_label_positives is not None and self.max_label_positives < 1:
-            raise SamplingError("max_label_positives must be >= 1 (or None for no cap)")
         self.rng = np.random.default_rng(self.seed)
 
     def next_batch(self, midnears: bool = False) -> PairBatch:
@@ -238,9 +228,7 @@ class Sampler:
         if midnears:
             batch.midnears = sample_midnears(self.data, batch.anchors, self.rng)
         if self.need_labels:
-            attach_label_positives(batch, self.data.labels,
-                                   max_per_anchor=self.max_label_positives,
-                                   rng=self.rng)
+            attach_label_positives(batch, self.data.labels, self.rng)
         return batch
 
 
@@ -253,5 +241,5 @@ def random_batch(n: int, batch_size: int, m: int, rng, labels=None) -> PairBatch
     batch = PairBatch(anchors=anchors, positives=positives,
                       negatives=negatives, midnears=midnears)
     if labels is not None:
-        attach_label_positives(batch, labels)
+        attach_label_positives(batch, labels, rng)
     return batch

@@ -2,6 +2,7 @@
 
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from cne import (CneError, Embedding, cli, knn_graph, load_csv, quality_report, standardize,
                  write_csv)
 from cne.cli import DEFAULTS, _resolve, build_parser, main
-from cne.losses import SUPERVISED_KINDS
+from cne.losses import _LOSS_FUNCS, SUPERVISED_KINDS
 from cne.optimize import MAX_BATCH_BYTES
 
 BLOBS = "blobs:n_per_class=40,n_classes=3,dim=6,separation=15,seed=0"
@@ -139,7 +140,7 @@ def test_embed_graph_narrower_than_recall_k(tmp_path, capsys):
     # embedding.csv is written with %.17g, so it reads back exactly.
     coords = np.loadtxt(out / "embedding.csv", delimiter=",", skiprows=1, usecols=(1, 2))
     report = quality_report(load_csv(data, label_column="label"), Embedding(coords))
-    expected = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    expected = json.dumps(asdict(report), indent=2, sort_keys=True)
     assert (out / "quality.json").read_text() == expected
 
 
@@ -286,9 +287,16 @@ def test_gradcheck_subset(capsys):
     assert out.count("PASS") == 1
 
 
-def test_gradcheck_corrupted_gradient_fails(capsys):
-    assert run(["gradcheck", "--losses", "umap", "--trials", "2", "--corrupt"]) == 3
-    assert "FAIL" in capsys.readouterr().out
+def test_gradcheck_fails_a_wrong_gradient(monkeypatch, capsys):
+    # Negative control: a loss whose gradient is twice the true one.
+    def wrong_gradient(batch, cols, spec, w_u, acc):
+        i, j = batch.anchors, batch.positives
+        diff = [c.take(i) - c.take(j) for c in cols]
+        acc.add_sq(i, j, np.full(len(i), 2.0), diff)  # the true dL/d(d^2) is 1
+        return sum((x ** 2).sum() for x in diff)
+    monkeypatch.setitem(_LOSS_FUNCS, "umap", wrong_gradient)
+    assert run(["gradcheck", "--losses", "umap", "--trials", "2"]) == 3
+    assert "umap: " in (out := capsys.readouterr().out) and "FAIL" in out
 
 
 def test_plot_from_embedding_csv(tmp_path, capsys):
@@ -387,10 +395,15 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
     (["embed", "--data", BLOBS, "--dim", "0"], None),
     (["embed", "--data", BLOBS], "[run]\nk = abc\n"),
     (["embed", "--data", BLOBS], "[run]\nmode = quantum\n"),
+    (["embed", "--data", BLOBS], "[run]\nloss = quantum\n"),
+    (["embed", "--data", BLOBS, "--plot", "--dim", "1"], None),
+    (["bench", "--data", BLOBS, "--losses", "umap", "--plot", "--dim", "1"], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--seeds", "a"], None),
     (["gradcheck", "--m", "0"], None),
     (["gradcheck", "--trials", "0"], None),
     (["gradcheck", "--trials", "-3"], None),
+    (["gradcheck", "--seed", "-1"], None),
+    (["gradcheck", "--losses", ","], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--m", "0"], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--jobs", "0"], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--jobs", "-1"], None),
@@ -405,8 +418,9 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
       for flag, value in BAD_SETTINGS],
     *[(["bench", "--data", BLOBS, "--losses", "umap", "--" + flag, value], None)
       for flag, value in BAD_SETTINGS],
-], ids=["m0", "tau0", "batch0", "dim0", "ini-k", "ini-mode", "seeds", "gradcheck-m0",
-        "trials0", "trials-3", "bench-m0", "jobs0", "jobs-1", "gen-key", "seed-1", "bench-seeds-1",
+], ids=["m0", "tau0", "batch0", "dim0", "ini-k", "ini-mode", "ini-loss", "plot-dim1",
+        "bench-plot-dim1", "seeds", "gradcheck-m0", "trials0", "trials-3", "gradcheck-seed-1",
+        "gradcheck-no-loss", "bench-m0", "jobs0", "jobs-1", "gen-key", "seed-1", "bench-seeds-1",
         "ini-no-section", "ini-duplicate-key", "ini-not-utf8",
         *[f"{flag}{value}" for flag, value in BAD_SETTINGS[2:]],
         *[f"ini-{flag}{value}" for flag, value in BAD_SETTINGS],
@@ -434,6 +448,14 @@ def test_a_batch_too_large_for_memory_exits_2_at_once(tmp_path, capsys, command,
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: batch_size ") and " m " in line and "bytes" in line
     assert not (tmp_path / "out").exists()
+
+
+def test_gradcheck_rejects_a_batch_too_large_before_drawing_one(monkeypatch, capsys):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch was drawn")
+    monkeypatch.setattr(cli, "random_batch", no_batch)
+    assert run(["gradcheck", "--losses", "umap", "--m", "2000000"]) == 2
+    assert capsys.readouterr().err.startswith("error: batch_size 8 with m 2000000")
 
 
 @pytest.mark.parametrize("text", [b"f0,lab\xffel\n1,0\n2,1\n", b"f0,label\n1,0\n2,\xff\n"],

@@ -1,5 +1,7 @@
 """Embedding quality measures against naive reference implementations."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -219,10 +221,10 @@ def test_quality_report_keys():
     rng = np.random.default_rng(10)
     ds = Dataset(points=rng.normal(size=(30, 4)), labels=np.repeat([0, 1, 2], 10))
     emb = Embedding(rng.normal(size=(30, 2)))
-    report = quality_report(ds, emb).to_dict()
+    report = asdict(quality_report(ds, emb))
     assert set(report) == {"knn_recall", "knn_accuracy", "silhouette",
                            "k_recall", "k_accuracy"}
     assert all(v is not None for v in report.values())
     unlabeled = Dataset(points=ds.points)
-    report2 = quality_report(unlabeled, emb).to_dict()
+    report2 = asdict(quality_report(unlabeled, emb))
     assert report2["knn_accuracy"] is None and report2["silhouette"] is None

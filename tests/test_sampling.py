@@ -220,7 +220,7 @@ def test_attach_label_positives():
         negatives=np.array([[2], [3], [0], [1]]),
     )
     labels = np.array([0, 0, 0, 1])
-    attach_label_positives(batch, labels)
+    attach_label_positives(batch, labels, np.random.default_rng(0))
     assert sorted(batch.label_positives[0]) == [1, 2]
     assert sorted(batch.label_positives[1]) == [0, 2]
     assert list(batch.label_positives[3]) == []
@@ -295,12 +295,21 @@ def test_label_positive_cap_below_one_is_rejected():
     for cap in (0, -1):
         with pytest.raises(SamplingError):
             attach_label_positives(batch, labels, max_per_anchor=cap, rng=rng)
-    ds = Dataset(points=rng.normal(size=(10, 2)), labels=np.arange(10) % 2)
-    g = knn_graph(ds, k=3)
-    for cap in (0, -1):
-        with pytest.raises(SamplingError):
-            Sampler(graph=g, data=ds, need_labels=True, max_label_positives=cap)
-    Sampler(graph=g, data=ds, need_labels=True, max_label_positives=None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 30), st.integers(1, DEFAULT_MAX_LABEL_POSITIVES + 1), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_random_batch_label_positives_are_all_same_label_others(n, b, m, n_labels, seed):
+    # Gradient checks rely on it: with at most DEFAULT_MAX_LABEL_POSITIVES + 1
+    # anchors, the capped draw holds every same-label other of each anchor.
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, n_labels, size=n)
+    batch = random_batch(n, b, m, rng, labels=labels)
+    assert len(batch.label_positives) == b
+    for r, s in enumerate(batch.label_positives):
+        full = label_positive_set(labels, batch.anchors, r)
+        assert len(s) == len(full) and set(s.tolist()) == set(full.tolist())
 
 
 def test_label_positives_read_as_a_sequence():
@@ -347,7 +356,7 @@ def test_remap_matches_searchsorted_and_rejects_a_missing_index(n, b, m, midnear
 def labelled_batches(draw):
     """(labels, batch, cap): anchors (repeats allowed) of a small labelled
     dataset, including a single label, singleton groups, and caps at, above
-    and below group size - 1."""
+    and below group size - 1 ("none": at or above every group's size)."""
     n = draw(st.integers(1, 30))
     labels = np.array(draw(st.lists(st.integers(0, draw(st.integers(0, 4))),
                                     min_size=n, max_size=n)), dtype=np.int64)
@@ -357,7 +366,7 @@ def labelled_batches(draw):
                       negatives=np.zeros((b, 1), dtype=np.int64))
     mode = draw(st.sampled_from(["none", "any", "near"]))
     if mode == "none":
-        cap = None
+        cap = max(1, len(anchors)) + draw(st.integers(0, 3))
     elif mode == "any":
         cap = draw(st.integers(1, 12))
     else:  # a group's size - 1, or one off it
@@ -380,9 +389,7 @@ def test_label_positive_sets_properties(problem, seed):
         assert r not in s
         assert (labels[batch.anchors[s]] == labels[batch.anchors[r]]).all()
         assert set(s.tolist()) <= set(full.tolist())
-        assert len(s) == (len(full) if cap is None else min(cap, len(full)))
-        if cap is None:
-            assert s.tolist() == full.tolist()
+        assert len(s) == min(cap, len(full))
 
 
 def test_schedule_closed_form():
@@ -439,8 +446,7 @@ def test_next_batch_without_midnears_draws_none():
     s = Sampler(graph=g, data=ds, batch_size=32, m=3, seed=11, need_labels=True)
     direct = np.random.default_rng(11)
     for got in (s.next_batch(), s.next_batch(midnears=False), s.next_batch()):
-        want = attach_label_positives(sample_edge_batch(g, 32, 3, direct), ds.labels,
-                                      DEFAULT_MAX_LABEL_POSITIVES, direct)
+        want = attach_label_positives(sample_edge_batch(g, 32, 3, direct), ds.labels, direct)
         assert got.midnears is None
         assert np.array_equal(got.anchors, want.anchors)
         assert np.array_equal(got.negatives, want.negatives)
