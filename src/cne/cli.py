@@ -17,7 +17,6 @@ import inspect
 import json
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
@@ -174,19 +173,19 @@ def _kwargs(cls, cfg: dict) -> dict:
             for f in fields(cls) if f.default is not MISSING}
 
 
-def _specs(cfg: dict, cells: int = 1) -> tuple[LossSpec, OptimConfig]:
+def _specs(cfg: dict) -> tuple[LossSpec, OptimConfig]:
     """The run's LossSpec and OptimConfig; an invalid setting, a plot of a
-    1-D embedding, or a batch too large for `cells` such runs at once, raises."""
+    1-D embedding, or a batch too large for memory, raises."""
     spec, optim = LossSpec(**_kwargs(LossSpec, cfg)), OptimConfig(**_kwargs(OptimConfig, cfg))
     if cfg.get("plot") and optim.embedding_dim < 2:
         raise ConfigError("--plot needs an embedding of at least 2 dimensions")
-    check_batch_shape(spec, optim, cells)
+    check_batch_shape(spec, optim)
     return spec, optim
 
 
 def run_embed(cfg: dict, ds: Dataset, graph) -> dict:
-    """One full training run on `ds` and its kNN graph (read-only, so they
-    may be shared); returns the quality report dict."""
+    """One full training run on `ds` and its kNN graph (read-only, so one
+    bench grid shares them); returns the quality report dict."""
     spec, optim = _specs(cfg)
     out = Path(cfg["out"] or "out")
     if optim.mode == "parametric":
@@ -234,14 +233,6 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(cfg, ds, graph):
-    try:
-        report = run_embed(cfg, ds, graph)
-        return {"loss": cfg["loss"], "seed": cfg["seed"], "status": "ok", **report}
-    except Exception as exc:  # recorded per row, not fatal for the grid
-        return {"loss": cfg["loss"], "seed": cfg["seed"], "status": f"error: {exc}"}
-
-
 def _loss_list(text: str) -> list[str]:
     kinds = [s.strip() for s in text.split(",") if s.strip()]
     for name in kinds:
@@ -264,8 +255,6 @@ def _label_error(ds, spec):
 def cmd_bench(args) -> int:
     config = _load_config_file(args.config) if args.config else {}
     loss_list = _loss_list(args.losses)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     try:
         seed_list = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
@@ -275,12 +264,11 @@ def cmd_bench(args) -> int:
     base = _resolve(args, config)
     out = Path(base["out"] or "bench_out")
     grid, specs = [], {}
-    jobs = min(args.jobs, len(loss_list) * len(seed_list))  # the cells run at once
     for loss in loss_list:
         resolved = _resolve(args, config, loss=loss)
         for seed in seed_list:
             cfg = dict(resolved, seed=seed, out=str(out / f"{loss}_seed{seed}"))
-            specs[loss], _ = _specs(cfg, jobs)  # a cell's rejected setting fails before the grid
+            specs[loss], _ = _specs(cfg)  # a cell's rejected setting fails before the grid
             grid.append(cfg)
     # No per-loss setting changes the data or the graph.
     ds = _load_dataset(base)
@@ -291,8 +279,13 @@ def cmd_bench(args) -> int:
         raise errors[0]
     graph = knn_graph(ds, k=base["k"])
     out.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(lambda cfg: _bench_one(cfg, ds, graph), grid))
+    rows = []
+    for cfg in grid:
+        cell = {"loss": cfg["loss"], "seed": cfg["seed"]}
+        try:
+            rows.append({**cell, "status": "ok", **run_embed(cfg, ds, graph)})
+        except Exception as exc:  # recorded per row, not fatal for the grid
+            rows.append({**cell, "status": f"error: {exc}"})
 
     metric_keys = ("knn_recall", "knn_accuracy", "silhouette")
     summary = {}
@@ -383,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_bench)
     p_bench.add_argument("--losses", required=True, help="comma-separated loss kinds")
     p_bench.add_argument("--seeds", default="0", help="comma-separated seeds")
-    p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.set_defaults(func=cmd_bench)
 
     p_grad = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")

@@ -4,10 +4,9 @@ Every loss sees a PairBatch (anchor-positive edges plus sampled negatives,
 optional mid-near and label-positive sets) and embedding coordinates, and
 returns the scalar value plus the dense gradient over all coordinate rows,
 zero outside the participating sample indices (with a per-sample view over
-those). Gradients flow through the Cauchy kernel via d(loss)/d(d^2)
-coefficients and through the temperature kernel via d(loss)/d(dist)
-coefficients, accumulated pairwise so the contribution to i from a pair ij
-is exactly the negation of the contribution to j.
+those). Gradients flow through d(loss)/d(d^2) coefficients, accumulated
+pairwise so the contribution to i from a pair ij is exactly the negation of
+the contribution to j.
 """
 
 from __future__ import annotations
@@ -152,11 +151,6 @@ class _Accumulator:
         coef = 2.0 * coef
         self._add(i, j, [coef * x for x in diff])
 
-    def add_dist(self, i, j, coef, diff, dist):
-        """coef = dL/d(dist) per pair; chain through dist = ||z_i - z_j||,
-        with diff and dist as _dist returns them."""
-        self._add(i, j, [coef * (x / dist) for x in diff])
-
     def result(self):
         """(dense N x d gradient, the row of every contribution)."""
         grad = np.zeros((self.n, self.d))
@@ -189,40 +183,89 @@ def _phi(cols, i, j):
     return diff, s, cauchy_unchecked(s)
 
 
-def _dist(cols, i, j):
-    """(z_i - z_j, clamped distance) per pair, for _Accumulator.add_dist."""
-    diff = _diff(cols, i, j)
-    return diff, np.maximum(np.sqrt(_sq(diff)), 1e-30)
-
-
 def _negatives(batch, rows=slice(None)):
     """(i, j) of every (anchor, negative) pair of the batch rows `rows`, row
     by row: each anchor repeated m times, against its m negatives."""
     return np.repeat(batch.anchors[rows], batch.m), batch.negatives[rows].ravel()
 
 
-def _lse_rows(a):
-    mx = a.max(axis=1)
-    w = np.exp(a - mx[:, None])
-    tot = w.sum(axis=1)
-    return mx + np.log(tot), w / tot[:, None]
+# --- The kernel-ratio term --------------------------------------------------
+
+def _kernel(cols, i, j, tau):
+    """(z_i - z_j, kernel, d(log k)/d(d^2)) per pair: the Cauchy kernel
+    k = 1/(1 + d^2) when tau is None, else k = exp(-d/tau), returned as log k."""
+    if tau is None:
+        diff, _, k = _phi(cols, i, j)
+        return diff, k, -k
+    diff = _diff(cols, i, j)
+    d = np.maximum(np.sqrt(_sq(diff)), 1e-30)
+    return diff, d / -tau, (-0.5 / tau) / d
 
 
-def _segments(sizes):
-    return np.cumsum(sizes) - sizes
+def _runs(x, runs, ufunc=np.add):
+    """ufunc over consecutive runs of x, each `runs` long when an int, else of
+    the lengths in `runs`; x itself when runs is None."""
+    if runs is None:
+        return x
+    starts = np.arange(0, len(x), runs) if np.ndim(runs) == 0 else np.cumsum(runs) - runs
+    return ufunc.reduceat(x, starts)
 
 
-def _segment_lse(a_flat, sizes):
-    starts = _segments(sizes)
-    mx = np.maximum.reduceat(a_flat, starts)
-    seg = np.repeat(np.arange(len(sizes)), sizes)
-    w = np.exp(a_flat - mx[seg])
-    tot = np.add.reduceat(w, starts)
-    lse = mx + np.log(tot)
-    return lse, w / tot[seg]
+def _spread(x, runs):
+    """Each value of x repeated over its run, the inverse layout of _runs."""
+    return x if runs is None else np.repeat(x, runs)
 
 
-# --- Cauchy-kernel losses ---------------------------------------------------
+def _shifted(lk, runs):
+    """(exp(lk - c), S, c + log S) over runs of log kernels lk, with c the run's
+    maximum: S >= 1 however far apart the points are. One-pair runs need none."""
+    if runs is None:
+        return None, None, lk
+    c = _runs(lk, runs, np.maximum)
+    k = np.exp(lk - _spread(c, runs))
+    s = _runs(k, runs)
+    return k, s, c + np.log(s)
+
+
+def _term(acc, cols, tau, pos, neg, size, w, n, log, incl,
+          units=None, per_unit=None, per_group=None):
+    """The kernel-ratio term -1/n sum_e w_e f(U_e/D_e), f = log when `log`, else
+    the identity. Each entry e pairs a positive unit with a negative group:
+    - U sums the kernel over a unit: runs of `units` pairs of `pos` (i, j);
+    - D sums it over a group, runs of `size` pairs of `neg`, plus U when `incl`;
+    - a unit has `per_unit` consecutive entries, a group `per_group`.
+    A None run length or count is 1.
+    Cauchy kernels (tau None) are summed as they are, temperature kernels in
+    runs shifted by their maximum. Adds the gradient to acc and returns the value.
+    """
+    diff_p, kp, dk_p = _kernel(cols, *pos, tau)
+    diff_n, kn, dk_n = _kernel(cols, *neg, tau)
+    if tau is None:
+        U, V = _runs(kp, units), _runs(kn, size)
+        Ue, Ve = _spread(U, per_unit), _spread(V, per_group)
+        D = Ve + Ue if incl else Ve
+        r = Ue / D
+        lr, q = np.log(r) if log else None, Ve / D if incl else 1.0
+    else:
+        (kp, U, lU), (kn, V, lV) = _shifted(kp, units), _shifted(kn, size)
+        lUe, lVe = _spread(lU, per_unit), _spread(lV, per_group)
+        lD = np.logaddexp(lVe, lUe) if incl else lVe
+        lr = lUe - lD
+        r, q = None if log else np.exp(lr), np.exp(lVe - lD) if incl else 1.0
+    g = (-1.0 / n) * w * q  # dL/d(log U_e) = -dL/d(log V_e)
+    if not log:
+        g = g * r
+    gu, gv = _runs(g, per_unit), _runs(g, per_group)
+    if units is not None:  # each pair's share of its unit or group
+        gu = _spread(gu / U, units) * kp
+    if size is not None:
+        gv = _spread(gv / V, size) * kn
+    acc.add_sq(*pos, gu * dk_p, diff_p)
+    acc.add_sq(*neg, -gv * dk_n, diff_n)
+    return -((lr if log else r) * w).sum() / n
+
+
+# --- Losses with a body of their own ------------------------------------------
 
 def _loss_tsne(batch, cols, spec, w_u, acc):
     i, j = batch.anchors, batch.positives
@@ -248,41 +291,6 @@ def _loss_umap(batch, cols, spec, w_u, acc):
     return value
 
 
-def _triplets(acc, cols, i, j, k, w, b, log):
-    """The triplet term -w/b * sum u/(u+v), or of log(u/(u+v)) when `log`, with
-    u = phi(i[r], j[r]) and v = phi(i[r], k[r, c]) for every column c of k. Adds
-    its gradient to acc and returns its value."""
-    m = k.shape[1]
-    i_k, j_k = np.repeat(i, m), k.ravel()
-    diff_p, _, u = _phi(cols, i, j)
-    diff_n, _, v_flat = _phi(cols, i_k, j_k)
-    v = v_flat.reshape(b, m)
-    denom = u[:, None] + v
-    if log:
-        value = -w * np.log(u[:, None] / denom).sum() / b
-        du = -w * (m / u - (1.0 / denom).sum(axis=1)) / b
-        dv = w * (1.0 / denom) / b
-    else:
-        value = -w * (u[:, None] / denom).sum() / b
-        du = -w * (v / denom ** 2).sum(axis=1) / b
-        dv = w * (u[:, None] / denom ** 2) / b
-    acc.add_sq(i, j, du * (-u ** 2), diff_p)
-    acc.add_sq(i_k, j_k, dv.ravel() * (-v_flat ** 2), diff_n)
-    return value
-
-
-def _loss_trimap(batch, cols, spec, w_u, acc):
-    i, b, log = batch.anchors, batch.size, spec.use_log_ratio
-    value = _triplets(acc, cols, i, batch.positives, batch.negatives, 1.0, b, log)
-    if w_u != 0.0:
-        mid = batch.midnears
-        if mid.shape[1] < 2:
-            raise SamplingError("trimap mid-near term needs >= 2 mid-near indices per anchor")
-        # The same ratio, the first mid-near as inlier and the second as outlier.
-        value += _triplets(acc, cols, i, mid[:, 0], mid[:, 1:2], w_u, b, log)
-    return value
-
-
 def _bounded(acc, cols, i, j, coef):
     """Adds coef * phi^2/(phi+1)^2 per pair as dL/d(d^2), the gradient of
     -coef * phi/(phi+1), and returns phi/(phi+1)."""
@@ -305,99 +313,39 @@ def _loss_pacmap(batch, cols, spec, w_u, acc):
     return value
 
 
-def _ratio(acc, cols, sizes, i, j, i_n, j_n, w, n, log):
-    """The ratio term -1/n sum_r w_r f(u_r, V_g), with f = log(u/(u+V)) when
-    `log`, else u/V: u_r = phi(i[r], j[r]) over positive pairs in consecutive
-    groups of `sizes`, V_g the sum of phi over group g's equal share of the
-    negative pairs (i_n, j_n). Adds its gradient to acc and returns its value.
-    Keep each coefficient's order of operations: embeddings depend on its
-    last bit."""
-    diff_p, _, u = _phi(cols, i, j)
-    diff_n, _, v_flat = _phi(cols, i_n, j_n)
-    g = len(sizes)
-    v = v_flat.reshape(g, -1).sum(axis=1)
-    v_r, starts = np.repeat(v, sizes), _segments(sizes)
-    if log:
-        value = -(np.log(u / (u + v_r)) * w).sum() / n
-        du = -(1.0 / u - 1.0 / (u + v_r)) * w / n
-        dv = np.add.reduceat(w / (u + v_r), starts) / n
-    else:
-        value = -((u / v_r) * w).sum() / n
-        du = -w / (v_r * n)
-        dv = np.add.reduceat(w * u, starts) / (v ** 2) / n
-    acc.add_sq(i, j, du * (-u ** 2), diff_p)
-    acc.add_sq(i_n, j_n, np.repeat(dv, len(v_flat) // g) * (-v_flat ** 2), diff_n)
+# --- Losses through the kernel-ratio term -------------------------------------
+
+def _loss_trimap(batch, cols, spec, w_u, acc):
+    i, b, log = batch.anchors, batch.size, spec.use_log_ratio
+    # One entry per negative, each a group of one against the edge positive.
+    value = _term(acc, cols, None, (i, batch.positives), _negatives(batch), None, 1.0, b,
+                  log, True, per_unit=batch.m)
+    if w_u != 0.0:
+        mid = batch.midnears
+        if mid.shape[1] < 2:
+            raise SamplingError("trimap mid-near term needs >= 2 mid-near indices per anchor")
+        # The same ratio, the first mid-near as inlier and the second as outlier.
+        value += _term(acc, cols, None, (i, mid[:, 0]), (i, mid[:, 1]), None, w_u, b, log, True)
     return value
 
 
 def _loss_infonce(batch, cols, spec, w_u, acc):
-    b = batch.size
-    return _ratio(acc, cols, np.ones(b, np.intp), batch.anchors, batch.positives,
-                  *_negatives(batch), 1.0, b, True)
-
-
-# --- Temperature-kernel losses ----------------------------------------------
-
-def _softmax(acc, cols, tau, sizes, i, j, i_n, j_n, incl):
-    """The softmax term 1/g sum_r [d_r/tau + log sum_k e^(-d_k/tau)] / |P_r| over
-    positive pairs (i, j) in g consecutive groups of `sizes`, |P_r| the size of
-    pair r's group and k over the group's equal share of the negative pairs
-    (i_n, j_n), joined by pair r itself when `incl`. Adds its gradient to acc
-    and returns its value."""
-    g = len(sizes)
-    inv_sz = np.repeat(1.0 / sizes, sizes)
-    diff_p, d_p = _dist(cols, i, j)
-    diff_n, d_n = _dist(cols, i_n, j_n)
-    d_n = d_n.reshape(g, -1)
-    if incl:
-        # Per-positive denominator: its own similarity joins the negatives.
-        grp = np.repeat(np.arange(g), sizes)
-        i_n, j_n, d_n = (x.reshape(g, -1)[grp] for x in (i_n, j_n, d_n))
-        diff_n = [x.reshape(g, -1)[grp].ravel() for x in diff_n]
-        lse, soft = _lse_rows(np.column_stack([-d_p / tau, -d_n / tau]))
-        value = ((d_p / tau + lse) * inv_sz).sum() / g
-        coef_p = (1.0 - soft[:, 0]) * inv_sz / (tau * g)
-        coef_n = -(soft[:, 1:] * inv_sz[:, None]) / (tau * g)
-    else:
-        lse, soft_n = _lse_rows(-d_n / tau)
-        value = ((d_p / tau) * inv_sz).sum() / g + lse.sum() / g
-        coef_p = inv_sz / (tau * g)
-        coef_n = -soft_n / (tau * g)
-    acc.add_dist(i, j, coef_p, diff_p, d_p)
-    acc.add_dist(i_n.ravel(), j_n.ravel(), coef_n.ravel(), diff_n, d_n.ravel())
-    return value
-
-
-def _mass(acc, cols, tau, sizes, i, j, i_n, j_n, neg_sizes=None):
-    """The mass term 1/g sum_g -log(sum_r e^(-d_r/tau) / sum_k e^(-d_k/tau))
-    over positive pairs (i, j) in g consecutive groups of `sizes`, k over
-    group g's negative pairs: consecutive groups of `neg_sizes`, or equal
-    shares of (i_n, j_n) when None. Adds its gradient to acc and returns its
-    value."""
-    g = len(sizes)
-    diff_p, d_p = _dist(cols, i, j)
-    lse_p, soft_p = _segment_lse(-d_p / tau, sizes)
-    diff_n, d_n = _dist(cols, i_n, j_n)
-    lse_n, soft_n = (_lse_rows(-d_n.reshape(g, -1) / tau) if neg_sizes is None
-                     else _segment_lse(-d_n / tau, neg_sizes))
-    acc.add_dist(i, j, soft_p / (tau * g), diff_p, d_p)
-    acc.add_dist(i_n, j_n, -soft_n.ravel() / (tau * g), diff_n, d_n)
-    return (-lse_p + lse_n).sum() / g
+    return _term(acc, cols, None, (batch.anchors, batch.positives), _negatives(batch),
+                 batch.m, 1.0, batch.size, True, True)
 
 
 def _loss_sscl(batch, cols, spec, w_u, acc):
-    return _softmax(acc, cols, spec.tau, np.ones(batch.size, np.intp), batch.anchors,
-                    batch.positives, *_negatives(batch), spec.use_incl_positive)
+    return _term(acc, cols, spec.tau, (batch.anchors, batch.positives), _negatives(batch),
+                 batch.m, 1.0, batch.size, True, spec.use_incl_positive)
 
 
 def _loss_snn(batch, cols, spec, w_u, acc):
     rows = np.argsort(batch.anchors, kind="stable")  # grouped by anchor
     sizes = np.unique(batch.anchors, return_counts=True)[1]
-    return _mass(acc, cols, spec.tau, sizes, batch.anchors[rows], batch.positives[rows],
-                 *_negatives(batch, rows), sizes * batch.m)
+    return _term(acc, cols, spec.tau, (batch.anchors[rows], batch.positives[rows]),
+                 _negatives(batch, rows), sizes * batch.m, 1.0, len(sizes), True, False,
+                 units=sizes)
 
-
-# --- Supervised losses: the terms above over label-positive groups ------------
 
 def _label_pairs(batch):
     """(keep, sizes, i, j, i_n, j_n) of the anchors with a non-empty label-positive
@@ -412,26 +360,31 @@ def _label_pairs(batch):
 
 
 def _loss_supcon(batch, cols, spec, w_u, acc):
-    _, *groups = _label_pairs(batch)
-    return _softmax(acc, cols, spec.tau, *groups, spec.use_incl_positive)
+    _, sizes, i, j, *neg = _label_pairs(batch)
+    return _term(acc, cols, spec.tau, (i, j), neg, batch.m, np.repeat(1.0 / sizes, sizes),
+                 len(sizes), True, spec.use_incl_positive, per_group=sizes)
 
 
 def _loss_sup_snn(batch, cols, spec, w_u, acc):
-    # -log( (1/|P|) sum e_p / sum e_n ): the mass term plus the mean log |P|.
-    _, *groups = _label_pairs(batch)
-    return _mass(acc, cols, spec.tau, *groups) + np.log(groups[0]).mean()
+    # -log( (1/|P|) sum e_p / sum e_n ): each label group one unit, plus the mean log |P|.
+    _, sizes, i, j, *neg = _label_pairs(batch)
+    return (_term(acc, cols, spec.tau, (i, j), neg, batch.m, 1.0, len(sizes), True, False,
+                  units=sizes) + np.log(sizes).mean())
 
 
 def _loss_tscne(batch, cols, spec, w_u, acc):
-    keep, *groups = _label_pairs(batch)
-    sizes, bc, log = groups[0], len(keep), spec.use_log_ratio
-    value = _ratio(acc, cols, *groups, 1.0 / np.repeat(sizes, sizes), bc, log)
+    keep, sizes, i, j, *neg = _label_pairs(batch)
+    bc, log = len(keep), spec.use_log_ratio
+    value = _term(acc, cols, None, (i, j), neg, batch.m, np.repeat(1.0 / sizes, sizes), bc,
+                  log, log, per_group=sizes)
     if w_u != 0.0:
         # Each kept anchor's edge positive against its mid-nears.
         i, mid = batch.anchors[keep], batch.midnears[keep]
-        value += _ratio(acc, cols, np.ones(bc, np.intp), i, batch.positives[keep],
-                        np.repeat(i, mid.shape[1]), mid.ravel(), w_u, bc, log)
+        value += _term(acc, cols, None, (i, batch.positives[keep]),
+                       (np.repeat(i, mid.shape[1]), mid.ravel()), mid.shape[1], w_u, bc, log, log)
     return value
+
+
 _LOSS_FUNCS = {
     "tsne": _loss_tsne,
     "umap": _loss_umap,

@@ -92,16 +92,21 @@ def check_labels(data: Dataset, spec: LossSpec) -> None:
             raise ConfigError(f"loss {spec.kind!r} requires at least two classes")
 
 
-def check_batch_shape(spec: LossSpec, cfg: OptimConfig, cells: int = 1) -> None:
-    """Raise ConfigError when the sample indices of `cells` such batches at
-    once exceed MAX_BATCH_BYTES."""
+def check_batch_shape(spec: LossSpec, cfg: OptimConfig) -> None:
+    """Raise ConfigError when a batch's sample indices exceed MAX_BATCH_BYTES,
+    or its coordinates twice that, the same bound at two dimensions. The
+    coordinates of a parametric step include the encoder's output layer."""
     # edge, negatives, mid-nears and, for a supervised loss, label positives
     per_anchor = spec.m + 2 + DEFAULT_N_MID + DEFAULT_MAX_LABEL_POSITIVES * spec.supervised
-    need = cells * cfg.batch_size * per_anchor * 8
+    need = cfg.batch_size * per_anchor * 8
     if need > MAX_BATCH_BYTES:
-        at_once = f" in {cells} cells at once" if cells > 1 else ""
         raise ConfigError(f"batch_size {cfg.batch_size} with m {spec.m} needs {need} bytes "
-                          f"of batch indices{at_once}, over the {MAX_BATCH_BYTES} allowed")
+                          f"of batch indices, over the {MAX_BATCH_BYTES} allowed")
+    rows = max(cfg.batch_size * per_anchor, HIDDEN_SIZES[-1] * (cfg.mode == "parametric"))
+    need = rows * cfg.embedding_dim * 8
+    if need > 2 * MAX_BATCH_BYTES:
+        raise ConfigError(f"embedding_dim {cfg.embedding_dim} needs {need} bytes of coordinates "
+                          f"per {cfg.mode} step, over the {2 * MAX_BATCH_BYTES} allowed")
 
 
 def _sgd(data, graph, spec, cfg, params, what, forward):

@@ -7,11 +7,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from cne import (CneError, Embedding, cli, knn_graph, load_csv, quality_report, standardize,
-                 write_csv)
+from cne import Embedding, cli, knn_graph, load_csv, quality_report, standardize, write_csv
 from cne.cli import DEFAULTS, _resolve, build_parser, main
 from cne.losses import _LOSS_FUNCS, SUPERVISED_KINDS
-from cne.optimize import MAX_BATCH_BYTES
 
 BLOBS = "blobs:n_per_class=40,n_classes=3,dim=6,separation=15,seed=0"
 FAST = ["--epochs", "5", "--k", "6", "--batch-size", "256"]
@@ -262,7 +260,7 @@ def test_bench_loads_and_builds_once(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "knn_graph", lambda *a, **kw: calls.append(1) or knn_graph(*a, **kw))
     assert run(["bench", "--data", BLOBS, "--losses", "umap,trimap", "--seeds", "0,1",
-                "--jobs", "2", "--out", str(tmp_path / "bench"), *FAST]) == 0
+                "--out", str(tmp_path / "bench"), *FAST]) == 0
     assert len(calls) == 1
 
 
@@ -385,7 +383,7 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
                 ("w-u-final", "-1"), ("anneal-fraction", "2"),
                 ("lr", "nan"), ("grad-clip", "nan"), ("w-u-init", "nan"),
                 ("tau", "inf"), ("lr", "inf"), ("grad-clip", "inf"), ("w-p", "inf"),
-                ("w-u-init", "inf"), ("w-u-final", "inf")]
+                ("w-u-init", "inf"), ("w-u-final", "inf"), ("dim", "99999999999999999999")]
 
 
 @pytest.mark.parametrize("argv, ini", [
@@ -405,8 +403,6 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
     (["gradcheck", "--seed", "-1"], None),
     (["gradcheck", "--losses", ","], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--m", "0"], None),
-    (["bench", "--data", BLOBS, "--losses", "umap", "--jobs", "0"], None),
-    (["bench", "--data", BLOBS, "--losses", "umap", "--jobs", "-1"], None),
     (["embed", "--data", "blobs:n_per_clas=5"], None),
     (["embed", "--data", BLOBS, "--seed", "-1"], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--seeds", "0,-1"], None),
@@ -420,7 +416,7 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
       for flag, value in BAD_SETTINGS],
 ], ids=["m0", "tau0", "batch0", "dim0", "ini-k", "ini-mode", "ini-loss", "plot-dim1",
         "bench-plot-dim1", "seeds", "gradcheck-m0", "trials0", "trials-3", "gradcheck-seed-1",
-        "gradcheck-no-loss", "bench-m0", "jobs0", "jobs-1", "gen-key", "seed-1", "bench-seeds-1",
+        "gradcheck-no-loss", "bench-m0", "gen-key", "seed-1", "bench-seeds-1",
         "ini-no-section", "ini-duplicate-key", "ini-not-utf8",
         *[f"{flag}{value}" for flag, value in BAD_SETTINGS[2:]],
         *[f"ini-{flag}{value}" for flag, value in BAD_SETTINGS],
@@ -450,6 +446,18 @@ def test_a_batch_too_large_for_memory_exits_2_at_once(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+def test_a_parametric_dim_too_large_for_memory_exits_2_before_the_data_is_read(
+        tmp_path, capsys, monkeypatch):
+    def no_data(cfg):
+        raise AssertionError("the data was read")
+    monkeypatch.setattr(cli, "_load_dataset", no_data)
+    assert run(["embed", "--data", "blobs:n_per_class=20", "--mode", "parametric",
+                "--dim", "99999999999999999999", "--epochs", "1",
+                "--out", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: embedding_dim 99999999999999999999 needs ")
+
+
 def test_gradcheck_rejects_a_batch_too_large_before_drawing_one(monkeypatch, capsys):
     def no_batch(*args, **kwargs):
         raise AssertionError("a batch was drawn")
@@ -470,28 +478,6 @@ def test_a_data_file_that_is_not_utf8_exits_3(tmp_path, capsys, command, text):
     assert run([command, "--data", str(bad), "--label-column", "label", "--out", out]) == 3
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: cannot read {bad}:") and "Traceback" not in line
-
-
-def test_a_batch_too_large_for_the_bench_cells_at_once_exits_2(tmp_path, capsys, monkeypatch):
-    # One cell of this shape fits; the two that --jobs 2 runs at once do not,
-    # and are rejected before any thread starts. A --jobs above the cell
-    # count asks for a thread per cell.
-    pools = []
-
-    def no_pool(max_workers):
-        pools.append(max_workers)
-        raise CneError("no pool in this test")
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    batch = str(MAX_BATCH_BYTES // ((5 + 4) * 8 * 2) + 1)
-    argv = ["bench", "--data", BLOBS, "--losses", "umap", "--batch-size", batch, "--epochs", "1",
-            "--out", str(tmp_path / "out")]
-    assert run([*argv, "--seeds", "0,1", "--jobs", "2"]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"error: batch_size {batch} with m 5 ") and "in 2 cells at once" in line
-    assert pools == []
-    assert run([*argv, "--seeds", "0", "--jobs", "1000"]) == 3
-    assert pools == [1]
 
 
 def test_an_output_path_that_cannot_be_written_exits_3(tmp_path, capsys):
@@ -584,16 +570,3 @@ def test_standardize_flag_and_config_key(tmp_path, capsys):
     assert emb["flag"] == emb["want"] and emb["ini"] == emb["want"]
     assert emb["raw"] != emb["want"]
     assert json.loads((tmp_path / "ini" / "config.json").read_text())["standardize"] is True
-
-
-def test_bench_jobs_match_serial_run(tmp_path, capsys):
-    outs = {}
-    for jobs in ("1", "2"):
-        out = outs[jobs] = tmp_path / f"jobs{jobs}"
-        assert run(["bench", "--data", BLOBS, "--losses", "umap,trimap",
-                    "--seeds", "0,1", "--jobs", jobs, "--out", str(out), *FAST]) == 0
-    serial, threaded = (json.loads((outs[j] / "bench.json").read_text()) for j in ("1", "2"))
-    assert threaded["rows"] == serial["rows"]
-    for cell in ("umap_seed0", "umap_seed1", "trimap_seed0", "trimap_seed1"):
-        assert ((outs["2"] / cell / "embedding.csv").read_bytes()
-                == (outs["1"] / cell / "embedding.csv").read_bytes())

@@ -528,6 +528,68 @@ def test_losses_match_loop_references():
             assert got == pytest.approx(expect, rel=1e-10), spec.kind
 
 
+def _log_e_ref(coords, i, j, tau):
+    return -max(math.sqrt(sum((a - b) ** 2 for a, b in zip(coords[i], coords[j]))), 1e-30) / tau
+
+
+def ref_log_space(kind, batch, coords, tau, incl_positive):
+    """sscl, snn, supcon or sup_snn from log kernels and np.logaddexp alone."""
+    def lse(xs):
+        return float(np.logaddexp.reduce(xs))
+
+    def le(i, j):
+        return _log_e_ref(coords, i, j, tau)
+
+    terms = []
+    if kind in ("sscl", "snn"):
+        groups: dict = {}  # snn pools the rows of one anchor, sscl takes each row alone
+        for r, a in enumerate(batch.anchors):
+            groups.setdefault(int(a) if kind == "snn" else r, []).append(r)
+        for group in groups.values():
+            a = batch.anchors[group[0]]
+            lp = [le(a, batch.positives[r]) for r in group]
+            ln = [le(a, k) for r in group for k in batch.negatives[r]]
+            if kind == "sscl" and incl_positive:
+                ln.append(lp[0])
+            terms.append(lse(ln) - lse(lp))
+    else:
+        for r, a in enumerate(batch.anchors):
+            pos = batch.label_positives[r]
+            if len(pos) == 0:
+                continue
+            ln = [le(a, k) for k in batch.negatives[r]]
+            lp = [le(a, batch.anchors[p]) for p in pos]
+            if kind == "sup_snn":
+                terms.append(lse(ln) - lse(lp) + math.log(len(pos)))
+            else:
+                terms.append(sum(lse(ln + [x] if incl_positive else ln) - x for x in lp) / len(pos))
+    return sum(terms) / len(terms)
+
+
+@pytest.mark.parametrize("incl", [False, True])
+@pytest.mark.parametrize("kind", ["sscl", "snn", "supcon", "sup_snn"])
+def test_temperature_losses_survive_total_underflow(kind, incl):
+    # Distinct points at least 1000 apart: at tau = 0.5 every exp(-d/tau) is 0
+    # in float64, and positives lie far nearer or farther than their
+    # negatives. The loss must still be the finite log-space value.
+    rng = np.random.default_rng(31)
+    n, b, m, tau = 12, 9, 3, 0.5
+    coords = 1000.0 * np.column_stack([rng.permutation(n), rng.permutation(n)])
+    labels = np.arange(n) % 2
+    anchors = rng.integers(0, n, size=b)
+    others = [np.flatnonzero(np.arange(n) != a) for a in anchors]
+    positives = [rng.choice(o) for o in others]
+    negatives = [rng.choice(o, size=m) for o in others]
+    label_positives = [[p for p in range(b) if anchors[p] != a and labels[anchors[p]] == labels[a]]
+                       for a in anchors]
+    batch = pair_batch(anchors, positives, negatives, label_positives=label_positives)
+    assert np.exp(-1000.0 / tau) == 0.0
+    spec = LossSpec(kind=kind, m=m, tau=tau, denominator_includes_positive=incl)
+    lg = evaluate(spec, batch, coords)
+    assert np.isfinite(lg.value) and np.all(np.isfinite(lg.grad)) and np.any(lg.grad)
+    assert lg.value == pytest.approx(ref_log_space(kind, batch, coords, tau, incl), rel=1e-10)
+
+
 # --- invariances and gradient structure --------------------------------------
 
 def random_rigid_motion(rng, d=2):
@@ -678,7 +740,7 @@ def test_compact_batch_matches_full_coordinates(kind):
 
 def test_accumulator_matches_sequential_scatter():
     # Deferred bincount scatter == one np.add.at per contribution, in call order.
-    from cne.losses import _Accumulator, _dist
+    from cne.losses import _Accumulator, _kernel
     rng = np.random.default_rng(3)
     coords = rng.normal(size=(20, 3))
     cols = coords.T.copy()
@@ -687,7 +749,7 @@ def test_accumulator_matches_sequential_scatter():
         i, j = rng.integers(0, 20, 30), rng.integers(0, 20, 30)
         acc.add_sq(i, j, rng.normal(size=30), list(cols[:, i] - cols[:, j]))
         i, j = rng.integers(0, 20, 30), rng.integers(0, 20, 30)
-        acc.add_dist(i, j, rng.normal(size=30), *_dist(cols, i, j))
+        acc.add_sq(i, j, rng.normal(size=30), _kernel(cols, i, j, 0.5)[0])
     expect = np.zeros_like(coords)
     for rows, *contrib in zip(acc.rows, *acc.contribs):
         np.add.at(expect, rows, np.column_stack(contrib))
@@ -703,7 +765,7 @@ def test_pair_distances_sum_coordinates_in_order(d):
     # coordinates' squares left to right. At d = 2 that is exactly what
     # einsum gives on the row-major differences.
     from cne.kernels import EPS_SQ_DIST, cauchy
-    from cne.losses import _dist, _phi
+    from cne.losses import _kernel, _phi
     rng = np.random.default_rng(8)
     coords = rng.normal(size=(50, d))
     i, j = rng.integers(0, 50, 400), rng.integers(0, 50, 400)
@@ -719,9 +781,10 @@ def test_pair_distances_sum_coordinates_in_order(d):
     assert np.array_equal(np.column_stack(diff), rowwise)
     assert np.array_equal(s, np.maximum(want, EPS_SQ_DIST))
     assert np.array_equal(phi, cauchy(np.maximum(want, EPS_SQ_DIST)))
-    diff, dist = _dist(cols, i, j)
+    assert np.array_equal(_kernel(cols, i, j, None)[1], phi)
+    diff, log_k, _ = _kernel(cols, i, j, 1.0)  # the temperature kernel: log k = -d
     assert np.array_equal(np.column_stack(diff), rowwise)
-    assert np.array_equal(dist, np.maximum(np.sqrt(want), 1e-30))
+    assert np.array_equal(-log_k, np.maximum(np.sqrt(want), 1e-30))
 
 
 def test_tscne_touched_is_every_sample_a_kept_anchor_pairs_with():

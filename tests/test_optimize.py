@@ -175,11 +175,20 @@ def test_a_batch_too_large_for_memory_is_rejected(fit):
     with pytest.raises(ConfigError, match="^batch_size"):
         check_batch_shape(LossSpec(kind="supcon", m=1),
                           OptimConfig(batch_size=MAX_BATCH_BYTES // per_anchor + 1))
-    # Cells run at once share the bound.
-    check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=MAX_BATCH_BYTES // 120), cells=3)
-    with pytest.raises(ConfigError, match="bytes of batch indices in 3 cells at once, over"):
-        check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=MAX_BATCH_BYTES // 120 + 1),
-                          cells=3)
+    # A batch's coordinates, a row per index, may take twice the bound: the
+    # same bound at two dimensions, a tighter one above.
+    batch = MAX_BATCH_BYTES // 40
+    check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=batch, embedding_dim=2))
+    with pytest.raises(ConfigError, match="^embedding_dim 3 needs"):
+        check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=batch, embedding_dim=3))
+    # A parametric step holds at least the encoder's output layer of 64 rows.
+    dim = 2 * MAX_BATCH_BYTES // (64 * 8)
+    check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=1, embedding_dim=dim + 1))
+    check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=1, mode="parametric",
+                                                 embedding_dim=dim))
+    with pytest.raises(ConfigError, match="coordinates per parametric step"):
+        check_batch_shape(LossSpec(m=1), OptimConfig(batch_size=1, mode="parametric",
+                                                     embedding_dim=dim + 1))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

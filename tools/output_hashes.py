@@ -12,12 +12,13 @@ listings with `diff`.
 The runs: the determinism criterion's config; W1 data (600 x 10 blobs) for
 each of the 11 loss kinds; 60-epoch W1 runs of the formula branches that a
 flag selects (`VARIANTS`); parametric umap on W1 data, which also writes
-`encoder.bin`; a two-thread `bench` grid; one-epoch trimap on 5000 x 50
-blobs, the one run whose searches span several row blocks, and so several
-threads; and the CSV path: `gen` writes W1 data to a file, `embed` reads it
-back, and `plot` reads the `embedding.csv` that `embed` wrote. A run is one
-or more `cne` commands, run in the run's directory so that no recorded path
-depends on OUT.
+`encoder.bin`; a `bench` grid (`bench_jobs2`, a name kept from when it ran
+on two threads); one-epoch trimap on 5000 x 50 blobs, the one run whose
+searches span several row blocks, and so several threads; and the CSV
+path: `gen` writes W1 data to a file, `embed` reads it back, and `plot`
+reads the `embedding.csv` that `embed` wrote. A run is one or more `cne`
+commands, run in the run's directory so that no recorded path depends on
+OUT.
 `train_log.jsonl` is hashed without its `wall_ms` field. A run that fails
 prints `exit <code>` and the last line of its standard error instead of
 hashes.
@@ -56,7 +57,7 @@ COMMANDS = {
        for kind, flag in VARIANTS},
     "w1_parametric_umap": ["embed", "--data", W1, "--loss", "umap", "--mode", "parametric"],
     "bench_jobs2": ["bench", "--data", W1, "--losses", "umap,trimap,supcon,tscne",
-                    "--seeds", "0,1", "--epochs", "15", "--jobs", "2"],
+                    "--seeds", "0,1", "--epochs", "15"],
     "multi_block_trimap": ["embed", "--data", MULTI_BLOCK, "--loss", "trimap", "--epochs", "1"],
 }
 RUNS = {
