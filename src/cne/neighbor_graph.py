@@ -23,8 +23,8 @@ DEFAULT_K = 15
 
 # Size of all buffers of the blocks of rows in flight, all workers together.
 # Fixes the number of rows per block, so working memory is O(BLOCK_BYTES),
-# not O(N^2).
-BLOCK_BYTES = 8 << 20
+# not O(N^2). The mid-near draw of `sampling` works within it too.
+BLOCK_BYTES = 4 << 20
 # Threads that work on row blocks at once: the cores this process may use.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
@@ -111,7 +111,7 @@ def knn_indices(points, k: int):
 
     Per block of rows, GEMM distances on a mean-centred copy screen the
     candidates within a margin of a bound on each row's k-th screened value:
-    its k-th if all N rows are one block (N <= 702), else the k-th smallest
+    its k-th if all N rows are one block (N <= 496), else the k-th smallest
     of g group minima, column j in group j mod g (up to 8 columns a group).
     Only those are recomputed exactly and sorted, in row blocks of
     :func:`map_row_blocks`: memory is O(BLOCK_BYTES) beyond input and output.
@@ -129,7 +129,6 @@ def knn_indices(points, k: int):
     # column within twice that again of a bound >= the k-th value. The margin
     # is absolute, not relative to the k-th value, which is 0 for duplicates.
     margin = 4.0 * (d + 8) * np.finfo(np.float64).eps * (sq + sq.max())
-    minus_2ct = -2.0 * centred.T
     out = np.empty((n, k), dtype=np.int64)
     # k distinct columns lie at or below the k-th smallest group minimum, and
     # g > k groups leave k without the row's own column. s = 1 copies the row.
@@ -143,7 +142,7 @@ def knn_indices(points, k: int):
         # |c_j|^2 - 2 c_i.c_j: the squared distance less |c_i|^2, which is
         # constant along a row and so changes no row's order. +inf pads g*s.
         wide = screen[:, :n]
-        np.matmul(centred[block], minus_2ct, out=wide)
+        np.matmul(-2.0 * centred[block], centred.T, out=wide)
         wide += sq
         wide[local, rows] = np.inf
         screen[:, n:] = np.inf
@@ -175,7 +174,7 @@ def knn_graph(data, k: int = DEFAULT_K) -> NeighborGraph:
     An edge {i,j} exists iff j is among the k nearest neighbors of i or
     vice versa. Distance ties are broken toward the smaller index. The search,
     :func:`knn_indices` (kept as `neighbors`), takes O(N^2 D) time in row
-    blocks whose buffers all count toward BLOCK_BYTES; past one block (N > 702)
+    blocks whose buffers all count toward BLOCK_BYTES; past one block (N > 496)
     group minima bound each row's k-th value. Memory does not grow as N^2.
     """
     points = data.points if isinstance(data, Dataset) else _raw_points(data)

@@ -24,7 +24,10 @@ PCA_INIT_SCALE = 1e-2
 HIDDEN_SIZES = (64, 64)
 ENCODER_MAGIC = b"CNEENC01"
 MODES = ("nonparametric", "parametric")
-MAX_BATCH_BYTES = 64 << 20  # a step peaks near 30x its index bytes: 2 GB here, 2 MB by default
+# A step's draw and loss peak near 13x its index bytes (supcon and tscne;
+# the mid-near draw adds at most BLOCK_BYTES / 4, whatever the input
+# dimension): about 0.9 GB here, under 3 MB at the default batch.
+MAX_BATCH_BYTES = 64 << 20
 
 
 @dataclass

@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import neighbor_graph
 from .data import Dataset
 from .errors import SamplingError
 from .neighbor_graph import NeighborGraph
@@ -130,7 +131,10 @@ def sample_midnears(data: Dataset, anchors, rng, pool: int = DEFAULT_MIDNEAR_POO
     """Vectorized mid-near sampling: n_mid independent draws per anchor,
     each the second-nearest of a fresh pool of `pool` distinct candidates
     (a pool with a repeat is redrawn whole) in (squared distance, index)
-    order: ties, infinite distances included, go to the smaller index."""
+    order: ties, infinite distances included, go to the smaller index.
+    The candidates' rows are gathered a chunk of anchors at a time, within a
+    quarter of :data:`~cne.neighbor_graph.BLOCK_BYTES`, so memory does not
+    grow with the batch size times the dimension."""
     n = data.n
     if pool < 2:
         raise SamplingError("pool must be >= 2")
@@ -144,11 +148,18 @@ def sample_midnears(data: Dataset, anchors, rng, pool: int = DEFAULT_MIDNEAR_POO
     while len(rows):
         cand[rows] = (rep[rows, None] + rng.integers(1, n, size=(len(rows), pool))) % n
         rows = rows[_repeats(cand[rows])]
-    diff = data.points.take(cand, axis=0)
-    rel = diff.reshape(b, n_mid * pool, data.dim)  # a view; each anchor's row gathered once
-    rel -= data.points.take(anchors, axis=0)[:, None, :]
     # Pool members as rows, draws as columns: the reductions run across rows.
-    d2 = np.einsum("bpd,bpd->bp", diff, diff).T.copy()
+    d2 = np.empty((pool, b * n_mid))
+    anchor_bytes = max(1, n_mid * pool * data.dim * 8)  # 0 only when n_mid is 0
+    step = max(1, neighbor_graph.BLOCK_BYTES // 4 // anchor_bytes)  # anchors a chunk
+    for lo in range(0, b, step):
+        hi = min(lo + step, b)
+        draws = slice(lo * n_mid, hi * n_mid)
+        diff = data.points.take(cand[draws], axis=0)
+        rel = diff.reshape(hi - lo, n_mid * pool, data.dim)  # a view; each anchor's row gathered once
+        rel -= data.points.take(anchors[lo:hi], axis=0)[:, None, :]
+        d2[:, draws] = np.einsum("bpd,bpd->bp", diff, diff).T
+        del diff, rel  # before the next chunk is gathered
     cand = cand.T
     first = np.where(d2 == d2.min(axis=0), cand, n).min(axis=0)
     taken = cand == first

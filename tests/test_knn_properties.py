@@ -168,8 +168,8 @@ def test_silhouette_same_bits_on_every_worker_count(problem, block_bytes):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_knn_indices_memory_is_bounded_by_block_bytes(workers):
     # All workers' block buffers together stay within BLOCK_BYTES; the
-    # candidates' arrays, the centred copy and its transpose come to about
-    # 0.3 x BLOCK_BYTES more here, against 72 MB for one N x N distance matrix.
+    # candidates' arrays and the centred copy come to 0.3 to 0.4 x
+    # BLOCK_BYTES more here, against 72 MB for one N x N distance matrix.
     points = np.random.default_rng(0).normal(size=(3000, 20))
     with mock.patch.object(neighbor_graph, "WORKERS", workers):
         tracemalloc.start()

@@ -2,6 +2,9 @@
 label-positive sets, and the annealed mid-near weight that decides when
 mid-nears are drawn."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from cne import (
     ConfigError, Dataset, LossSpec, PairBatch, Sampler, SamplingError, knn_graph,
     random_batch, sample_edge_batch, sample_midnears,
 )
+from cne import neighbor_graph
 from cne.neighbor_graph import NeighborGraph
 from cne.sampling import (
     DEFAULT_MAX_LABEL_POSITIVES, DEFAULT_N_MID, LabelPositives, attach_label_positives,
@@ -182,12 +186,13 @@ def test_midnears_vectorized_matches_definition():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 8), st.integers(1, 25), st.integers(1, 3), st.integers(1, 3),
        st.integers(1, 30), st.sampled_from(["real", "rounded", "overflow"]),
-       st.integers(0, 2**32 - 1))
-def test_midnears_match_the_oracle_rule(pool, extra, dim, n_mid, b, scale, seed):
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 1 << 10, neighbor_graph.BLOCK_BYTES]))
+def test_midnears_match_the_oracle_rule(pool, extra, dim, n_mid, b, scale, seed, block_bytes):
     # Rounded points make distance ties; points scaled by 1e200 make every
     # squared distance between distinct points overflow to inf, so ties are
     # broken among infinities. The generator must be left where the oracle
-    # rule's sampler leaves it.
+    # rule's sampler leaves it. A budget of 1 B computes one anchor a chunk,
+    # and 1 KiB up to 16, so most batches span several chunks.
     rng = np.random.default_rng(seed)
     n = pool + extra
     points = rng.normal(size=(n, dim))
@@ -198,10 +203,26 @@ def test_midnears_match_the_oracle_rule(pool, extra, dim, n_mid, b, scale, seed)
     ds = Dataset(points=points)
     anchors = rng.integers(0, n, size=b)
     got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    got = sample_midnears(ds, anchors, got_rng, pool=pool, n_mid=n_mid)
+    with mock.patch.object(neighbor_graph, "BLOCK_BYTES", block_bytes):
+        got = sample_midnears(ds, anchors, got_rng, pool=pool, n_mid=n_mid)
     want = midnears_by_oracle_rule(ds, anchors, want_rng, pool, n_mid)
     assert got.shape == (b, n_mid) and np.array_equal(got, want)
     assert got_rng.random() == want_rng.random()
+
+
+def test_midnear_memory_is_bounded_by_block_bytes():
+    # The candidates' rows are gathered a chunk of anchors at a time: all at
+    # once they would take 1024 x 2 x 6 x 784 x 8 B, about 77 MB.
+    rng = np.random.default_rng(0)
+    ds = Dataset(points=rng.normal(size=(200, 784)))
+    anchors = rng.integers(0, 200, size=1024)
+    tracemalloc.start()
+    try:
+        out = sample_midnears(ds, anchors, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 0.5 * neighbor_graph.BLOCK_BYTES
 
 
 def test_label_positive_set():
