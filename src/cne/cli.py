@@ -240,16 +240,9 @@ def _loss_list(text: str) -> list[str]:
             raise ConfigError(f"unknown loss {name!r}")
     if not kinds:
         raise ConfigError(f"--losses names no loss: {text!r}")
+    if len(set(kinds)) < len(kinds):
+        raise ConfigError(f"--losses names a loss twice: {text!r}")
     return kinds
-
-
-def _label_error(ds, spec):
-    """The ConfigError check_labels raises for `ds` and `spec`, or None."""
-    try:
-        check_labels(ds, spec)
-    except ConfigError as exc:
-        return exc
-    return None
 
 
 def cmd_bench(args) -> int:
@@ -261,6 +254,8 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     if not seed_list:
         raise ConfigError("bench needs a non-empty --seeds list")
+    if len(set(seed_list)) < len(seed_list):
+        raise ConfigError(f"--seeds names a seed twice: {args.seeds!r}")
     base = _resolve(args, config)
     out = Path(base["out"] or "bench_out")
     grid, specs = [], {}
@@ -274,9 +269,8 @@ def cmd_bench(args) -> int:
     ds = _load_dataset(base)
     # Labels that no loss of the grid can train on fail before the graph is
     # built; with one usable loss, each rejected cell records its error.
-    errors = [_label_error(ds, spec) for spec in specs.values()]
-    if all(errors):
-        raise errors[0]
+    if all(spec.supervised for spec in specs.values()):
+        check_labels(ds, specs[loss_list[0]])
     graph = knn_graph(ds, k=base["k"])
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -296,7 +290,7 @@ def cmd_bench(args) -> int:
             vals = [r[key] for r in ok if r.get(key) is not None]
             if vals:
                 stats[f"{key}_mean"] = statistics.fmean(vals)
-                stats[f"{key}_std"] = statistics.pstdev(vals) if len(vals) > 1 else 0.0
+                stats[f"{key}_std"] = statistics.pstdev(vals)
         summary[loss] = stats
 
     fields = ["loss", "seed", "status", *metric_keys, "k_recall", "k_accuracy"]

@@ -52,20 +52,13 @@ def default_spec(kind: str, **overrides) -> "LossSpec":
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Selection of one loss from the family plus its hyperparameters.
-
-    paper_as_written=True forces the formulas exactly as published,
-    overriding log_ratio, corrected_pacmap_sign, and
-    denominator_includes_positive.
-    """
+    """Selection of one loss from the family plus its hyperparameters."""
 
     kind: str = "umap"
     m: int = DEFAULT_M
     tau: float = 0.5
     log_ratio: bool = False
-    corrected_pacmap_sign: bool = True
     denominator_includes_positive: bool = False
-    paper_as_written: bool = False
     # pacmap's positive weight; the mid-near weight w_u() goes linearly from
     # w_u_init to w_u_final over the first anneal_fraction of the epochs.
     w_p: float = 1.0
@@ -95,18 +88,6 @@ class LossSpec:
         if t_anneal <= 0 or epoch >= t_anneal:
             return self.w_u_final
         return self.w_u_init + (self.w_u_final - self.w_u_init) * (epoch / t_anneal)
-
-    @property
-    def use_log_ratio(self) -> bool:
-        return self.log_ratio and not self.paper_as_written
-
-    @property
-    def use_corrected_pacmap(self) -> bool:
-        return self.corrected_pacmap_sign and not self.paper_as_written
-
-    @property
-    def use_incl_positive(self) -> bool:
-        return self.denominator_includes_positive and not self.paper_as_written
 
     @property
     def supervised(self) -> bool:
@@ -307,16 +288,13 @@ def _loss_pacmap(batch, cols, spec, w_u, acc):
     if w_u != 0.0:
         value += -w_u * _bounded(acc, cols, np.repeat(i, batch.midnears.shape[1]),
                                  batch.midnears.ravel(), w_u / b).sum() / b
-    g_n = _bounded(acc, cols, *_negatives(batch), -1.0 / b)
-    # As published: a constant offset from the corrected form, the same gradient.
-    value += g_n.sum() / b if spec.use_corrected_pacmap else -(1.0 - g_n).sum() / b
-    return value
+    return value + _bounded(acc, cols, *_negatives(batch), -1.0 / b).sum() / b
 
 
 # --- Losses through the kernel-ratio term -------------------------------------
 
 def _loss_trimap(batch, cols, spec, w_u, acc):
-    i, b, log = batch.anchors, batch.size, spec.use_log_ratio
+    i, b, log = batch.anchors, batch.size, spec.log_ratio
     # One entry per negative, each a group of one against the edge positive.
     value = _term(acc, cols, None, (i, batch.positives), _negatives(batch), None, 1.0, b,
                   log, True, per_unit=batch.m)
@@ -336,7 +314,7 @@ def _loss_infonce(batch, cols, spec, w_u, acc):
 
 def _loss_sscl(batch, cols, spec, w_u, acc):
     return _term(acc, cols, spec.tau, (batch.anchors, batch.positives), _negatives(batch),
-                 batch.m, 1.0, batch.size, True, spec.use_incl_positive)
+                 batch.m, 1.0, batch.size, True, spec.denominator_includes_positive)
 
 
 def _loss_snn(batch, cols, spec, w_u, acc):
@@ -362,7 +340,7 @@ def _label_pairs(batch):
 def _loss_supcon(batch, cols, spec, w_u, acc):
     _, sizes, i, j, *neg = _label_pairs(batch)
     return _term(acc, cols, spec.tau, (i, j), neg, batch.m, np.repeat(1.0 / sizes, sizes),
-                 len(sizes), True, spec.use_incl_positive, per_group=sizes)
+                 len(sizes), True, spec.denominator_includes_positive, per_group=sizes)
 
 
 def _loss_sup_snn(batch, cols, spec, w_u, acc):
@@ -374,7 +352,7 @@ def _loss_sup_snn(batch, cols, spec, w_u, acc):
 
 def _loss_tscne(batch, cols, spec, w_u, acc):
     keep, sizes, i, j, *neg = _label_pairs(batch)
-    bc, log = len(keep), spec.use_log_ratio
+    bc, log = len(keep), spec.log_ratio
     value = _term(acc, cols, None, (i, j), neg, batch.m, np.repeat(1.0 / sizes, sizes), bc,
                   log, log, per_group=sizes)
     if w_u != 0.0:

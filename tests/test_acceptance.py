@@ -47,7 +47,6 @@ def checked_specs():
     specs += [
         LossSpec(kind="trimap", m=5, **sched, log_ratio=True),
         LossSpec(kind="tscne", m=5, **sched, log_ratio=True),
-        LossSpec(kind="pacmap", m=5, **sched, paper_as_written=True),
         LossSpec(kind="sscl", m=5, denominator_includes_positive=True),
         LossSpec(kind="supcon", m=5, denominator_includes_positive=True),
     ]

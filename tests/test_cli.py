@@ -15,25 +15,23 @@ BLOBS = "blobs:n_per_class=40,n_classes=3,dim=6,separation=15,seed=0"
 FAST = ["--epochs", "5", "--k", "6", "--batch-size", "256"]
 
 
-# config.json of `cne embed --data BLOBS` before the run settings were
-# generated from the dataclass fields; the text must not change.
+# config.json of `cne embed --data BLOBS`; generating the run settings from
+# the dataclass fields must not change its text.
 DEFAULT_EMBED_CONFIG = {
-    "anneal_fraction": 0.5, "batch_size": 1024, "corrected_pacmap_sign": True,
-    "data": BLOBS, "denominator_includes_positive": False, "deterministic": True,
+    "anneal_fraction": 0.5, "batch_size": 1024, "data": BLOBS,
+    "denominator_includes_positive": False, "deterministic": True,
     "dim": 2, "epochs": 250, "grad_clip": 0.05, "k": 15, "label_column": None,
     "log_ratio": False, "loss": "umap",
     "loss_spec": {
-        "anneal_fraction": 0.5, "corrected_pacmap_sign": True,
-        "denominator_includes_positive": False, "kind": "umap", "log_ratio": False,
-        "m": 5, "paper_as_written": False, "tau": 0.5, "w_p": 1.0, "w_u_final": 0.0,
-        "w_u_init": 1.0,
+        "anneal_fraction": 0.5, "denominator_includes_positive": False, "kind": "umap",
+        "log_ratio": False, "m": 5, "tau": 0.5, "w_p": 1.0, "w_u_final": 0.0, "w_u_init": 1.0,
     },
     "lr": 1.0, "m": 5, "mode": "nonparametric", "momentum": 0.9,
     "optim": {
         "batch_size": 1024, "embedding_dim": 2, "epochs": 250, "grad_clip": 0.05,
         "learning_rate": 1.0, "mode": "nonparametric", "momentum": 0.9, "seed": 0,
     },
-    "paper_as_written": False, "plot": False, "seed": 0, "standardize": False,
+    "plot": False, "seed": 0, "standardize": False,
     "tau": 0.5, "w_p": 1.0, "w_u_final": 0.0, "w_u_init": 1.0,
 }
 
@@ -188,9 +186,16 @@ def test_config_file_and_override(tmp_path, capsys):
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
-    cfgfile = tmp_path / "run.ini"
-    cfgfile.write_text("[run]\nwarp_speed = 9\n")
-    assert run(["embed", "--config", str(cfgfile), "--data", BLOBS]) == 2
+    # warp_speed never was a setting; the others are removed variant flags.
+    cfgfile, out = tmp_path / "run.ini", str(tmp_path / "out")
+    for key, value in (("warp_speed", "9"), ("paper_as_written", "yes"),
+                       ("corrected_pacmap_sign", "no")):
+        cfgfile.write_text(f"[run]\n{key} = {value}\n")
+        assert run(["embed", "--config", str(cfgfile), "--data", BLOBS, "--out", out, *FAST]) == 2
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    for flag in ("--paper-as-written", "--corrected-pacmap-sign", "--no-corrected-pacmap-sign"):
+        assert run(["embed", "--data", BLOBS, flag, "--out", out, *FAST]) == 2
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_per_loss_defaults_resolved(tmp_path, capsys):
@@ -364,6 +369,21 @@ def test_every_setting_is_a_flag_and_a_config_key(key):
     assert from_file == value and type(from_file) is type(value)
 
 
+@pytest.mark.parametrize("argv", [["--loss", "pacmap"], ["--loss", "tscne", "--log-ratio"],
+                                  ["--loss", "supcon", "--denominator-includes-positive"]],
+                         ids=["pacmap", "tscne-log-ratio", "supcon-incl-positive"])
+def test_config_json_reproduces_its_run(tmp_path, capsys, argv):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(["embed", "--data", BLOBS, *argv, *FAST, "--out", str(first)]) == 0
+    resolved = json.loads((first / "config.json").read_text())
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[run]\n" + "".join(
+        f"{key} = {value}\n" for key, value in resolved.items()
+        if key not in ("out", "loss_spec", "optim") and value is not None))
+    assert run(["embed", "--config", str(cfgfile), "--out", str(again)]) == 0
+    assert (again / "embedding.csv").read_bytes() == (first / "embedding.csv").read_bytes()
+
+
 def test_config_file_label_column(tmp_path, capsys):
     data = tmp_path / "d.csv"
     assert run(["gen", BLOBS, "--out", str(data)]) == 0
@@ -397,6 +417,9 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
     (["embed", "--data", BLOBS, "--plot", "--dim", "1"], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--plot", "--dim", "1"], None),
     (["bench", "--data", BLOBS, "--losses", "umap", "--seeds", "a"], None),
+    (["bench", "--data", "missing.csv", "--losses", "umap,umap"], None),
+    (["bench", "--data", "missing.csv", "--losses", "umap", "--seeds", "0,0"], None),
+    (["gradcheck", "--losses", "umap,umap"], None),
     (["gradcheck", "--m", "0"], None),
     (["gradcheck", "--trials", "0"], None),
     (["gradcheck", "--trials", "-3"], None),
@@ -415,7 +438,8 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
     *[(["bench", "--data", BLOBS, "--losses", "umap", "--" + flag, value], None)
       for flag, value in BAD_SETTINGS],
 ], ids=["m0", "tau0", "batch0", "dim0", "ini-k", "ini-mode", "ini-loss", "plot-dim1",
-        "bench-plot-dim1", "seeds", "gradcheck-m0", "trials0", "trials-3", "gradcheck-seed-1",
+        "bench-plot-dim1", "seeds", "bench-loss-twice", "bench-seed-twice",
+        "gradcheck-loss-twice", "gradcheck-m0", "trials0", "trials-3", "gradcheck-seed-1",
         "gradcheck-no-loss", "bench-m0", "gen-key", "seed-1", "bench-seeds-1",
         "ini-no-section", "ini-duplicate-key", "ini-not-utf8",
         *[f"{flag}{value}" for flag, value in BAD_SETTINGS[2:]],
@@ -530,8 +554,9 @@ def test_bench_with_a_supervised_loss_on_one_class_exits_2(tmp_path, capsys, mon
     # before the kNN graph is built. (A grid with a usable loss records the
     # rejected cells' errors: test_bench_partial_failure_still_ok.)
     monkeypatch.setattr(cli, "knn_graph", lambda *a, **kw: pytest.fail("graph built"))
+    other = "supcon" if kind == "tscne" else "tscne"  # a grid of two supervised kinds
     argv = ["bench", "--data", "blobs:n_per_class=30,n_classes=1,dim=4",
-            "--losses", f"{kind},tscne", "--out", str(tmp_path / "out"), *FAST]
+            "--losses", f"{kind},{other}", "--out", str(tmp_path / "out"), *FAST]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "two classes" in err

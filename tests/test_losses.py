@@ -78,7 +78,7 @@ def ref_trimap(batch, coords, w_u, log_ratio):
     return -total / batch.size
 
 
-def ref_pacmap(batch, coords, w_u, w_p, corrected):
+def ref_pacmap(batch, coords, w_u, w_p):
     total = 0.0
     for r, (i, j) in enumerate(zip(batch.anchors, batch.positives)):
         p = _phi_ref(coords, i, j)
@@ -89,7 +89,7 @@ def ref_pacmap(batch, coords, w_u, w_p, corrected):
                 total += -w_u * p / (p + 1.0)
         for k in batch.negatives[r]:
             p = _phi_ref(coords, i, k)
-            total += p / (p + 1.0) if corrected else -(1.0 - p / (p + 1.0))
+            total += p / (p + 1.0)
     return total / batch.size
 
 
@@ -282,20 +282,6 @@ def test_pacmap_scalar():
     batch = pair_batch([0], [1], [[2]])
     spec = LossSpec(kind="pacmap", **ZERO_W_U)
     assert evaluate(spec, batch, coords).value == pytest.approx(-1.0 / 6.0, abs=1e-9)
-
-
-def test_pacmap_sign_variants_differ_by_constant():
-    rng = np.random.default_rng(3)
-    coords = rng.normal(size=(30, 2))
-    m = 4
-    for _ in range(10):
-        batch = random_batch(30, 8, m, rng)
-        cor = evaluate(LossSpec(kind="pacmap", m=m), batch, coords, epoch=0, n_epochs=10)
-        raw = evaluate(LossSpec(kind="pacmap", m=m, paper_as_written=True),
-                       batch, coords, epoch=0, n_epochs=10)
-        assert raw.value == pytest.approx(cor.value - m, rel=1e-12)
-        for k in cor.grads:
-            assert np.allclose(cor.grads[k], raw.grads[k], rtol=0, atol=1e-15)
 
 
 def test_pacmap_corrected_sign_repels_negative():
@@ -506,9 +492,7 @@ def test_losses_match_loop_references():
             (LossSpec(kind="trimap", m=4, **sched, log_ratio=True),
              ref_trimap(batch, coords, w_u, True)),
             (LossSpec(kind="pacmap", m=4, **sched),
-             ref_pacmap(batch, coords, w_u, 1.0, True)),
-            (LossSpec(kind="pacmap", m=4, **sched, paper_as_written=True),
-             ref_pacmap(batch, coords, w_u, 1.0, False)),
+             ref_pacmap(batch, coords, w_u, 1.0)),
             (LossSpec(kind="infonce", m=4), ref_infonce(batch, coords)),
             (LossSpec(kind="sscl", m=4), ref_sscl(batch, coords, 0.5)),
             (LossSpec(kind="sscl", m=4, denominator_includes_positive=True),
@@ -607,7 +591,6 @@ def all_specs():
         out.append(LossSpec(kind=kind, m=4, **sched))
     out.append(LossSpec(kind="trimap", m=4, **sched, log_ratio=True))
     out.append(LossSpec(kind="tscne", m=4, **sched, log_ratio=True))
-    out.append(LossSpec(kind="pacmap", m=4, **sched, paper_as_written=True))
     out.append(LossSpec(kind="sscl", m=4, denominator_includes_positive=True))
     out.append(LossSpec(kind="supcon", m=4, denominator_includes_positive=True))
     return out

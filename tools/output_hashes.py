@@ -10,15 +10,16 @@ checkout of the parent commit and on the change, then comparing the two
 listings with `diff`.
 
 The runs: the determinism criterion's config; W1 data (600 x 10 blobs) for
-each of the 11 loss kinds; 60-epoch W1 runs of the formula branches that a
-flag selects (`VARIANTS`); parametric umap on W1 data, which also writes
-`encoder.bin`; a `bench` grid (`bench_jobs2`, a name kept from when it ran
-on two threads); one-epoch trimap on 5000 x 50 blobs, the one run whose
-searches span several row blocks, and so several threads; and the CSV
-path: `gen` writes W1 data to a file, `embed` reads it back, and `plot`
-reads the `embedding.csv` that `embed` wrote. A run is one or more `cne`
-commands, run in the run's directory so that no recorded path depends on
-OUT.
+each of the 11 loss kinds; 60-epoch W1 runs of the four formula branches
+that a flag selects (`VARIANTS`: `--log-ratio` for trimap and tscne,
+`--denominator-includes-positive` for sscl and supcon); parametric umap on
+W1 data, which also writes `encoder.bin`; a `bench` grid (`bench_jobs2`, a
+name kept from when it ran on two threads); one-epoch trimap on 5000 x 50
+blobs, the one run whose searches span several row blocks, and so several
+threads; and the CSV path: `gen` writes W1 data to a file, `embed` reads it
+back, and `plot` reads the `embedding.csv` that `embed` wrote. A run is one
+or more `cne` commands, run in the run's directory so that no recorded path
+depends on OUT.
 `train_log.jsonl` is hashed without its `wall_ms` field. A run that fails
 prints `exit <code>` and the last line of its standard error instead of
 hashes.
@@ -42,7 +43,6 @@ W1 = "blobs:n_per_class=200,n_classes=3,dim=10,seed=0"
 # Flags that switch a loss onto another branch of its formula, each hashed in
 # one 60-epoch W1 run: (loss kind, flag).
 VARIANTS = (("trimap", "--log-ratio"), ("tscne", "--log-ratio"),
-            ("pacmap", "--paper-as-written"),
             ("sscl", "--denominator-includes-positive"),
             ("supcon", "--denominator-includes-positive"))
 CRITERION_7 = "blobs:n_per_class=60,n_classes=3,dim=8,separation=15,seed=2"
