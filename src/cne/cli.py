@@ -24,10 +24,10 @@ import numpy as np
 
 from .data import Dataset, load_csv, make_blobs, make_moons, standardize, write_csv, write_table
 from .errors import CneError, ConfigError
-from .losses import LOSS_KINDS, LossSpec, grad_check, loss_defaults
+from .losses import LOSS_KINDS, VARIANT_KINDS, LossSpec, grad_check, loss_defaults
 from .metrics import quality_report
 from .neighbor_graph import DEFAULT_K, knn_graph
-from .optimize import (MODES, OptimConfig, check_batch_shape, check_labels, fit_nonparametric,
+from .optimize import (MODES, OptimConfig, check_batch_shape, check_data, fit_nonparametric,
                        fit_parametric)
 from .sampling import DEFAULT_M, random_batch
 from .svgplot import emit_svg
@@ -40,6 +40,7 @@ GRADCHECK_TOLERANCE = 1e-4
 
 
 def _load_config_file(path) -> dict:
+    """The keys of the file's one section, with the [DEFAULT] keys it inherits."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -47,24 +48,24 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"config file {path}: {str(exc).splitlines()[0]}") from None
     if not read:
         raise ConfigError(f"config file {path} not found")
-    flat = {}
-    for section in parser.sections():
-        for key, value in parser[section].items():
-            flat[key.replace("-", "_")] = value
-    return flat
+    sections = parser.sections()
+    if len(sections) != 1:
+        raise ConfigError(f"config file {path} has {len(sections)} sections besides "
+                          "[DEFAULT]; it needs one")
+    return {key.replace("-", "_"): value for key, value in parser[sections[0]].items()}
 
 
 def _coerce(key: str, value: str):
     """Parse a config-file value as the type of the setting's default; a
     setting whose default is None keeps the string."""
+    if key not in DEFAULTS:
+        raise ConfigError(f"unknown config key {key!r}")
     like = DEFAULTS[key]
     if isinstance(like, bool):
-        low = value.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {key!r}: cannot parse boolean {value!r}")
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+        except KeyError:
+            raise ConfigError(f"config key {key!r}: cannot parse boolean {value!r}") from None
     if like is not None:
         try:
             value = type(like)(value)
@@ -101,29 +102,14 @@ HELP = {
 
 def _resolve(args, config: dict, loss: str | None = None) -> dict:
     """Merge precedence: CLI flag > config file > per-loss or parametric-mode
-    default > built-in default. `loss` overrides the loss selection before
-    per-loss defaults are applied (used by the bench grid)."""
-    merged = dict(DEFAULTS)
-    explicit = set()
-    for key, value in config.items():
-        if key not in merged:
-            raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = _coerce(key, value)
-        explicit.add(key)
-    for key in merged:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-            explicit.add(key)
+    default > built-in default. `loss`, the bench grid's, replaces the selected loss."""
+    given = {key: _coerce(key, value) for key, value in config.items()}
+    given.update({k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None})
     if loss is not None:
-        merged["loss"] = loss
-    overrides = loss_defaults(merged["loss"])
-    if merged["mode"] == "parametric":
-        overrides.update(PARAMETRIC_DEFAULTS)
-    for key, value in overrides.items():
-        if key not in explicit:
-            merged[key] = value
-    return merged
+        given["loss"] = loss
+    merged = {**DEFAULTS, **given}
+    parametric = PARAMETRIC_DEFAULTS if merged["mode"] == "parametric" else {}
+    return {**DEFAULTS, **loss_defaults(merged["loss"]), **parametric, **given}
 
 
 GENERATORS = {"blobs": make_blobs, "moons": make_moons}
@@ -224,9 +210,9 @@ def cmd_gen(args) -> int:
 def cmd_embed(args) -> int:
     config = _load_config_file(args.config) if args.config else {}
     cfg = _resolve(args, config)
-    spec, _ = _specs(cfg)  # an invalid setting fails before the data is read
+    spec, optim = _specs(cfg)  # an invalid setting fails before the data is read
     ds = _load_dataset(cfg)
-    check_labels(ds, spec)  # and unusable labels before the graph is built
+    check_data(ds, spec, optim, cfg["k"])  # and one the data cannot supply before the graph
     report = run_embed(cfg, ds, knn_graph(ds, k=cfg["k"]))
     printable = {k: v for k, v in report.items() if v is not None}
     print(json.dumps(printable, sort_keys=True))
@@ -263,14 +249,13 @@ def cmd_bench(args) -> int:
         resolved = _resolve(args, config, loss=loss)
         for seed in seed_list:
             cfg = dict(resolved, seed=seed, out=str(out / f"{loss}_seed{seed}"))
-            specs[loss], _ = _specs(cfg)  # a cell's rejected setting fails before the grid
+            specs[loss], optim = _specs(cfg)  # a cell's rejected setting fails before the grid
             grid.append(cfg)
     # No per-loss setting changes the data or the graph.
     ds = _load_dataset(base)
-    # Labels that no loss of the grid can train on fail before the graph is
-    # built; with one usable loss, each rejected cell records its error.
-    if all(spec.supervised for spec in specs.values()):
-        check_labels(ds, specs[loss_list[0]])
+    # Data that no cell can run on fails before the graph: k, mode and dimension
+    # are the same in every cell, and an unsupervised cell needs no labels.
+    check_data(ds, min(specs.values(), key=lambda spec: spec.supervised), optim, base["k"])
     graph = knn_graph(ds, k=base["k"])
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -313,14 +298,17 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     n, d, b, m = 64, 2, 8, args.m
     optim = OptimConfig(batch_size=b, seed=args.seed)  # rejects a negative seed
-    specs = [LossSpec(kind=kind, m=m, log_ratio=args.log_ratio or False)
-             for kind in _loss_list(args.losses)]
-    for spec in specs:  # a batch too large for memory fails before any is drawn
+    specs = {}  # each kind, then each formula branch that a variant flag selects
+    for kind in _loss_list(args.losses):
+        specs[kind] = LossSpec(kind=kind, m=m)
+        specs.update({f"{kind} --{flag.replace('_', '-')}": LossSpec(kind=kind, m=m, **{flag: True})
+                      for flag, kinds in VARIANT_KINDS.items() if kind in kinds})
+    for spec in specs.values():  # a batch too large for memory fails before any is drawn
         check_batch_shape(spec, optim)
     rng = np.random.default_rng(args.seed)
     labels = rng.integers(0, 3, size=n)
     failed = False
-    for spec in specs:
+    for name, spec in specs.items():
         worst = 0.0
         for _ in range(args.trials):
             coords = rng.normal(size=(n, d))
@@ -328,7 +316,7 @@ def cmd_gradcheck(args) -> int:
             worst = max(worst, grad_check(spec, batch, coords))
         status = "PASS" if worst < GRADCHECK_TOLERANCE else "FAIL"
         failed |= status == "FAIL"
-        print(f"{spec.kind}: max_rel_err={worst:.3e} {status}")
+        print(f"{name}: max_rel_err={worst:.3e} {status}")
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
@@ -378,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--trials", type=int, default=20)
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--m", type=int, default=DEFAULT_M)
-    p_grad.add_argument("--log-ratio", dest="log_ratio",
-                        action=argparse.BooleanOptionalAction, default=None)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_plot = sub.add_parser("plot", help="SVG scatter plot from an embedding CSV")

@@ -16,11 +16,6 @@ import numpy as np
 from .errors import DataError
 
 
-# Rows that write_table formats per write: its Python floats and text stay
-# a few MB however large the table.
-WRITE_ROWS = 4096
-
-
 class Dataset:
     """Immutable collection of N points in R^D with optional labels.
 
@@ -221,12 +216,16 @@ def write_csv(dataset: Dataset, path) -> None:
 def write_table(path, values, labels, names, ids=False) -> None:
     """CSV of `values` as lossless 17-significant-digit reals under `names`, after
     an `id` column with `ids`, before a `label` column when `labels` is not None."""
-    row = ",".join(["%d"] * ids + ["%.17g"] * values.shape[1]
-                   + ["%d"] * (labels is not None)) + "\r\n"  # csv.writer's line end
+    from .neighbor_graph import BLOCK_BYTES  # here: neighbor_graph imports this module
+    cells = ["%d"] * ids + ["%.17g"] * values.shape[1] + ["%d"] * (labels is not None)
+    row = ",".join(cells) + "\r\n"  # csv.writer's line end
+    # A formatted cell holds about 80 bytes of Python objects (its number, its
+    # list slot and its text): the objects of one write stay within BLOCK_BYTES.
+    rows = max(1, BLOCK_BYTES // (80 * len(cells)))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["id"] * ids + names + ["label"] * (labels is not None))
-        for start in range(0, len(values), WRITE_ROWS):
-            stop = start + WRITE_ROWS
+        for start in range(0, len(values), rows):
+            stop = start + rows
             columns = [range(start, stop)] * ids + values[start:stop].T.tolist()
             if labels is not None:
                 columns.append(np.asarray(labels[start:stop]).tolist())

@@ -26,6 +26,8 @@ LOSS_KINDS = (
 )
 SUPERVISED_KINDS = ("supcon", "sup_snn", "tscne")
 MIDNEAR_KINDS = ("trimap", "pacmap", "tscne")
+VARIANT_KINDS = {"log_ratio": ("trimap", "tscne"),  # the kinds whose formula a flag changes
+                 "denominator_includes_positive": ("sscl", "supcon")}
 
 # Per-loss hyperparameter defaults, applied when the caller does not set the
 # value explicitly. infonce benefits from a larger negative set; the

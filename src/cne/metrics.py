@@ -76,12 +76,19 @@ def knn_accuracy(labels, emb: Embedding, k: int = DEFAULT_K_ACCURACY, *,
     if len(classes) < 2:
         raise CneError("knn_accuracy is degenerate with a single class")
     nbrs = _first_columns(emb.coords, k, neighbors)
-    c = len(classes)
-    codes = np.arange(n)[:, None] * c + dense[nbrs]
-    votes = np.bincount(codes.ravel(), minlength=n * c).reshape(n, c)
-    # argmax returns the first maximum, so ties go to the smaller label.
-    correct = int(np.count_nonzero(votes.argmax(axis=1) == dense))
-    return correct / n
+    predicted = np.empty(n, dtype=np.intp)
+
+    def block_votes(block, buffers):
+        (votes,) = buffers
+        votes[:] = 0
+        codes = np.arange(len(votes))[:, None] * votes.shape[1] + dense[nbrs[block]]
+        for column in codes.T:  # one vote per row in each column
+            votes.reshape(-1)[column] += 1  # a view: the block's buffer is contiguous
+        # argmax returns the first maximum, so ties go to the smaller label.
+        predicted[block] = votes.argmax(axis=1)
+
+    map_row_blocks(block_votes, n, ((len(classes), np.int64),))
+    return int(np.count_nonzero(predicted == dense)) / n
 
 
 def silhouette(labels, emb: Embedding) -> float:

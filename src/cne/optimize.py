@@ -85,14 +85,20 @@ def pca_init(points, d: int, scale: float = PCA_INIT_SCALE):
     return z * (scale / sd)
 
 
-def check_labels(data: Dataset, spec: LossSpec) -> None:
-    """Raise ConfigError unless `data` can train `spec`: a supervised loss needs
-    labels with at least two classes."""
+def check_data(data: Dataset, spec: LossSpec, cfg: OptimConfig, k: int) -> None:
+    """Raise ConfigError unless `data` can run `spec` and `cfg` on a k-neighbor
+    graph: labels of two or more classes for a supervised loss, 1 <= k <= N - 1,
+    and a non-parametric dimension within the min(D, N - 1) columns of pca_init."""
     if spec.supervised:
         if data.labels is None:
             raise ConfigError(f"loss {spec.kind!r} requires labels")
         if len(np.unique(data.labels)) < 2:
             raise ConfigError(f"loss {spec.kind!r} requires at least two classes")
+    if not 1 <= k <= data.n - 1:
+        raise ConfigError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={data.n}")
+    d, supplied = cfg.embedding_dim, min(data.dim, data.n - 1)
+    if cfg.mode == "nonparametric" and d > supplied:
+        raise ConfigError(f"embedding dimension {d} exceeds the {supplied} columns PCA can supply")
 
 
 def check_batch_shape(spec: LossSpec, cfg: OptimConfig) -> None:
@@ -121,7 +127,7 @@ def _sgd(data, graph, spec, cfg, params, what, forward):
     clipped loss gradient on those coordinates to one gradient per array of
     `params`.
     """
-    check_labels(data, spec)
+    check_data(data, spec, cfg, graph.k)
     check_batch_shape(spec, cfg)
     sampler = Sampler(graph=graph, data=data, batch_size=cfg.batch_size, m=spec.m,
                       seed=cfg.seed, need_labels=spec.supervised)

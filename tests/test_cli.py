@@ -280,8 +280,14 @@ def test_bench_unreadable_data_fails_before_the_grid(tmp_path, capsys):
 def test_gradcheck_all_losses(capsys):
     assert run(["gradcheck", "--trials", "2"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 11
+    assert out.count("PASS") == 15
     assert "FAIL" not in out
+
+
+def test_gradcheck_has_no_log_ratio_flag(capsys):
+    # The default run checks every formula branch that a variant flag selects.
+    assert run(["gradcheck", "--log-ratio"]) == 2
+    assert "error: unrecognized arguments: --log-ratio" in capsys.readouterr().err
 
 
 def test_gradcheck_subset(capsys):
@@ -342,6 +348,14 @@ def test_parametric_mode_defaults():
     assert (cfg["epochs"], cfg["lr"]) == (7, 0.01)
     cfg = resolve([], {"mode": "parametric", "lr": "0.02"})
     assert (cfg["epochs"], cfg["lr"]) == (100, 0.02)
+
+
+def test_a_config_key_beats_a_per_loss_default():
+    cfg = resolve(["--loss", "tscne"], {"m": "4"})
+    assert (cfg["m"], cfg["w_u_init"]) == (4, 10.0)
+    cfg = resolve([], {"loss": "tscne", "m": "4"})
+    assert (cfg["m"], cfg["w_u_init"]) == (4, 10.0)
+    assert resolve(["--loss", "tscne", "--m", "3"], {"m": "4"})["m"] == 3
 
 
 def _other_value(key, default):
@@ -432,6 +446,8 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
     (["embed", "--data", BLOBS], "k = 3\n"),
     (["embed", "--data", BLOBS], "[run]\nk = 3\nk = 4\n"),
     (["embed", "--data", BLOBS], b"[run]\nk = 3\xff\n"),
+    (["embed", "--data", BLOBS], "[DEFAULT]\nepochs = 1\n"),
+    (["embed", "--data", BLOBS], "[a]\nk = 3\n[b]\nk = 4\n"),
     *[(["embed", "--data", BLOBS, "--" + flag, value], None) for flag, value in BAD_SETTINGS[2:]],
     *[(["embed", "--data", BLOBS], f"[run]\n{flag.replace('-', '_')} = {value}\n")
       for flag, value in BAD_SETTINGS],
@@ -441,7 +457,8 @@ BAD_SETTINGS = [("batch-size", "0"), ("dim", "0"), ("epochs", "0"), ("lr", "-1")
         "bench-plot-dim1", "seeds", "bench-loss-twice", "bench-seed-twice",
         "gradcheck-loss-twice", "gradcheck-m0", "trials0", "trials-3", "gradcheck-seed-1",
         "gradcheck-no-loss", "bench-m0", "gen-key", "seed-1", "bench-seeds-1",
-        "ini-no-section", "ini-duplicate-key", "ini-not-utf8",
+        "ini-no-section", "ini-duplicate-key", "ini-not-utf8", "ini-default-only",
+        "ini-two-sections",
         *[f"{flag}{value}" for flag, value in BAD_SETTINGS[2:]],
         *[f"ini-{flag}{value}" for flag, value in BAD_SETTINGS],
         *[f"bench-{flag}{value}" for flag, value in BAD_SETTINGS]])
@@ -527,13 +544,32 @@ def test_train_log_w_u_is_zero_without_a_midnear_term(tmp_path, capsys):
 
 
 def test_data_and_graph_errors_exit_3(tmp_path, capsys):
-    # Unlike a rejected setting, a bad data file or a k the data cannot
-    # supply is a runtime error.
+    # Unlike a rejected setting, a bad data file is a runtime error; a k the
+    # data cannot supply is a rejected setting.
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2,3\n4,5,6\n")
-    for argv in (["--data", str(bad)], ["--data", "blobs:n_per_class=20", "--k", "700"]):
-        assert run(["embed", *argv, "--out", str(tmp_path / "out")]) == 3
+    for argv, code in ((["--data", str(bad)], 3),
+                       (["--data", "blobs:n_per_class=20", "--k", "700"], 2)):
+        assert run(["embed", *argv, "--out", str(tmp_path / "out")]) == code
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k", "700"], "error: k must satisfy 1 <= k <= N-1, got k=700, N=60"),
+    (["--k", "0"], "error: k must satisfy 1 <= k <= N-1, got k=0, N=60"),
+    (["--dim", "11"], "error: embedding dimension 11 exceeds the 10 columns PCA can supply"),
+])
+@pytest.mark.parametrize("command", ["embed", "bench"])
+def test_a_setting_the_data_cannot_supply_exits_2_before_the_graph(
+        tmp_path, capsys, monkeypatch, command, argv, message):
+    # 60 x 10 data: k must lie in 1..59 and a non-parametric dimension at
+    # most 10, the columns PCA supplies. Checked before the kNN graph is built.
+    monkeypatch.setattr(cli, "knn_graph", lambda *a, **kw: pytest.fail("graph built"))
+    argv = [command, "--data", "blobs:n_per_class=20", *argv, "--out", str(tmp_path / "out"),
+            *(["--losses", "umap,tscne"] if command == "bench" else [])]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", SUPERVISED_KINDS)
@@ -568,7 +604,7 @@ def test_dim_above_what_pca_supplies_exits_with_a_message(tmp_path, capsys):
     # fails before training; a parametric run does not start from PCA.
     data = "blobs:n_per_class=30,n_classes=3,dim=4"
     assert run(["embed", "--data", data, "--dim", "6", "--out", str(tmp_path / "a"),
-                *FAST]) == 3
+                *FAST]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: embedding dimension 6 exceeds the 4 columns")
     assert not (tmp_path / "a" / "embedding.csv").exists()

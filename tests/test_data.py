@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from cne import (
     DataError, Dataset, Embedding, load_csv, make_blobs, make_moons, standardize, write_csv,
 )
-from cne import data
+from cne import data, neighbor_graph
 from cne.data import blob_centers, densify_labels, write_table
 
 
@@ -139,7 +139,8 @@ def _write_cells(path, values, labels, names, ids=False):
 
 
 def test_csv_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setattr(data, "WRITE_ROWS", 7)  # three writes of 20 rows
+    # 7 rows a write at 4 cells a row, 4 at 6: several writes of 20 rows
+    monkeypatch.setattr(neighbor_graph, "BLOCK_BYTES", 7 * 80 * 4)
     rng = np.random.default_rng(0)
     points = rng.normal(size=(20, 4))
     points[:4, 0] = [-0.0, 5e-324, 1e16, 1e308]

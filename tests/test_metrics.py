@@ -1,5 +1,7 @@
 """Embedding quality measures against naive reference implementations."""
 
+import tracemalloc
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from cne import (
     CneError, Dataset, Embedding, knn_accuracy, knn_recall, quality_report, silhouette,
 )
+from cne import neighbor_graph
+from cne.neighbor_graph import knn_indices
 
 
 def naive_knn(points, i, k):
@@ -127,6 +131,39 @@ def test_accuracy_matches_naive():
         k = int(rng.integers(1, 10))
         got = knn_accuracy(labels, Embedding(coords), k=k)
         assert got == naive_accuracy(labels, coords, k)
+
+
+def test_accuracy_in_one_row_blocks_on_more_threads_than_cores(monkeypatch):
+    # Each block writes only its own rows' predictions, whatever thread runs it.
+    monkeypatch.setattr(neighbor_graph, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(neighbor_graph, "WORKERS", 8)
+    rng = np.random.default_rng(7)
+    coords = rng.normal(size=(60, 2))
+    labels = rng.integers(0, 4, size=60)
+    assert knn_accuracy(labels, Embedding(coords), k=5) == naive_accuracy(labels, coords, 5)
+
+
+def test_accuracy_memory_stays_within_the_block_budget_at_many_classes():
+    # Ten clusters of 300 points and 3,000 singleton classes: an N x C vote
+    # table would take 138 MiB. The votes are counted a row block at a time.
+    rng = np.random.default_rng(6)
+    n, k = 6000, 10
+    labels = np.concatenate((np.arange(3000) // 300, 10 + np.arange(3000)))
+    coords = rng.normal(size=(n, 2))
+    coords[:3000] += 20.0 * rng.normal(size=(10, 2))[labels[:3000]]
+    nbrs = knn_indices(coords, k)
+    tracemalloc.start()
+    try:
+        got = knn_accuracy(labels, Embedding(coords), k, neighbors=nbrs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * neighbor_graph.BLOCK_BYTES
+    correct = 0
+    for i, row in enumerate(nbrs):  # the naive vote; ties go to the smaller label
+        votes = Counter(labels[row].tolist())
+        correct += min(votes, key=lambda label: (-votes[label], label)) == labels[i]
+    assert 0 < correct < n and got == correct / n
 
 
 def test_accuracy_shuffled_baseline():
